@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use ustr_live::{LiveConfig, LiveService};
-use ustr_service::QueryRequest;
+use ustr_service::{QueryBackend, QueryRequest};
 use ustr_uncertain::UncertainString;
 use ustr_workload::{generate_collection, DatasetConfig};
 

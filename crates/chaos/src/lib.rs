@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ustr_live::{LiveConfig, LiveService};
-use ustr_service::{lock_clean, QueryRequest};
+use ustr_service::{lock_clean, QueryBackend, QueryRequest};
 use ustr_store::{RealIo, StoreFile, StoreIo};
 use ustr_uncertain::UncertainString;
 

@@ -10,7 +10,7 @@
 //! ustr stats --live HOST:PORT   (scrape a running serve-net server)
 //! ustr build-index data.ustr --out data.idx --kind threshold|approx|listing
 //! ustr build-collection collection.ustr --out data.coll [--epsilon 0.05]
-//! ustr serve-batch (INDEXDIR | FILE.coll | FILE) queries.txt --threads 4
+//! ustr serve-batch (FILE.coll | FILE) queries.txt --threads 4
 //! ustr trace data.coll queries.txt --sample-rate 1.0 --out traces.json
 //! ```
 //!
@@ -23,8 +23,8 @@
 //! line file) — and `search --index` loads one instead of rebuilding.
 //! `build-collection` packs a whole collection (per-document substring
 //! indexes, plus approx indexes when `--epsilon` is given) into one `.coll`
-//! snapshot. `serve-batch` answers a query file over a snapshot directory, a
-//! `.coll` collection snapshot, or a plain collection file using the
+//! snapshot. `serve-batch` answers a query file over a `.coll` collection
+//! snapshot or a plain collection file using the
 //! `ustr-service` concurrent engine; query lines are either the legacy
 //! `PATTERN TAU` (threshold search) or mixed-mode
 //! `search|top|list|approx PATTERN ARG` lines, where `ARG` is τ (or K for
@@ -41,7 +41,7 @@ use std::process::ExitCode;
 use args::Args;
 use ustr_core::{ApproxIndex, Index, ListingIndex};
 use ustr_live::{LiveConfig, LiveService};
-use ustr_service::{QueryRequest, QueryResponse, QueryService, ServiceConfig};
+use ustr_service::{QueryBackend, QueryRequest, QueryResponse, QueryService, ServiceConfig};
 use ustr_store::{Snapshot, COLLECTION_MAGIC, MAGIC};
 use ustr_uncertain::UncertainString;
 use ustr_workload::{generate_string, DatasetConfig};
@@ -85,7 +85,7 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "serve-batch",
-        "ustr serve-batch (INDEXDIR | FILE.coll | FILE) QUERIES.txt --threads N [--shards S] [--cache C] [--tau-min T0] [--epsilon E] [--slow-query-us N] [--quiet]",
+        "ustr serve-batch (FILE.coll | FILE) QUERIES.txt --threads N [--shards S] [--cache C] [--tau-min T0] [--epsilon E] [--slow-query-us N] [--quiet]",
         "answer a (mixed-mode) query batch concurrently",
     ),
     (
@@ -110,7 +110,7 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "serve-net",
-        "ustr serve-net (LIVEDIR | INDEXDIR | FILE.coll | FILE) --addr HOST:PORT \
+        "ustr serve-net (LIVEDIR | FILE.coll | FILE) --addr HOST:PORT \
          [--threads N] [--io-threads N] [--inflight N] [--max-conns N] [--port-file PATH] \
          [--metrics-addr HOST:PORT] [--trace-sample F] [--slow-query-us N] \
          [--idle-timeout-s N] [--error-budget N] [--tau-min T0] [--epsilon E] [--quiet]",
@@ -123,7 +123,7 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "trace",
-        "ustr trace (LIVEDIR | INDEXDIR | FILE.coll | FILE) QUERIES.txt \
+        "ustr trace (LIVEDIR | FILE.coll | FILE) QUERIES.txt \
          [--sample-rate F] [--out FILE.json] [--threads N] [--shards S] [--cache C] \
          [--tau-min T0] [--epsilon E] [--quiet]",
         "answer a query batch with tracing on and export Chrome trace JSON",
@@ -412,16 +412,23 @@ fn is_collection_file(path: &str) -> bool {
         .unwrap_or(false)
 }
 
-/// Detects a *static* source's shape (snapshot directory, `.coll`
-/// snapshot, or plain collection text file), rejects `--tau-min`/
-/// `--epsilon` for snapshot sources (they would be silently ignored —
-/// snapshots carry their own), and loads or builds the service. Shared by
-/// `serve-batch` and `serve-net`.
+/// Detects a *static* source's shape (`.coll` snapshot or plain
+/// collection text file), rejects `--tau-min`/`--epsilon` for snapshot
+/// sources (they would be silently ignored — snapshots carry their own),
+/// and loads or builds the service. Shared by `serve-batch` and
+/// `serve-net`.
 fn load_static_service(source: &str, args: &Args) -> Result<QueryService, String> {
-    let is_dir = fs::metadata(source)
+    if fs::metadata(source)
         .map_err(|e| format!("cannot read {source}: {e}"))?
-        .is_dir();
-    let from_snapshots = is_dir || is_collection_file(source);
+        .is_dir()
+    {
+        return Err(format!(
+            "{source} is a directory, not a collection: per-document snapshot \
+             directories are no longer served; pack the documents into one \
+             snapshot with `ustr build-collection DOCS.ustr --out FILE.coll`"
+        ));
+    }
+    let from_snapshots = is_collection_file(source);
     if from_snapshots && args.get("tau-min").is_some() {
         return Err(
             "--tau-min applies only when building from a collection file; \
@@ -447,9 +454,7 @@ fn load_static_service(source: &str, args: &Args) -> Result<QueryService, String
         cache_capacity: args.get_parsed("cache", 1024usize)?,
         epsilon,
     };
-    if is_dir {
-        QueryService::load_dir(source, config).map_err(|e| e.to_string())
-    } else if from_snapshots {
+    if from_snapshots {
         QueryService::load_collection(source, config).map_err(|e| e.to_string())
     } else {
         let docs = load_collection(source)?;
@@ -480,7 +485,7 @@ fn slow_query_summary(log: &ustr_obs::SlowQueryLog) -> String {
 }
 
 fn cmd_serve_batch(args: &Args) -> Result<String, String> {
-    let source = args.positional(0, "INDEXDIR")?;
+    let source = args.positional(0, "SOURCE")?;
     let queries_path = args.positional(1, "QUERIES.txt")?;
     let quiet = args.flag("quiet");
     let queries = load_queries(queries_path)?;
@@ -740,8 +745,8 @@ fn cmd_serve_live(args: &Args) -> Result<String, String> {
 }
 
 /// Assembles the query backend `serve-net` wraps: a live directory, a
-/// snapshot directory, a `.coll` collection snapshot, or a plain collection
-/// text file — the same source shapes `serve-batch`/`serve-live` accept.
+/// `.coll` collection snapshot, or a plain collection text file — the same
+/// source shapes `serve-batch`/`serve-live` accept.
 fn net_backend(
     source: &str,
     args: &Args,
@@ -1131,28 +1136,16 @@ fn file_magic(path: &str) -> [u8; 8] {
 }
 
 /// `stats --live`: scrape a running `serve-net` server's telemetry over
-/// the wire protocol — one `StatsRequest` round trip (protocol v2+), or
-/// one `StatsJsonRequest` round trip with `--json` (protocol v3+).
+/// the wire protocol — one `StatsRequest` round trip, rendered as
+/// exposition text or, with `--json`, as JSON.
 fn live_server_stats(addr: &str, json: bool) -> Result<String, String> {
     let mut client = ustr_net::NetClient::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-    let info = client.server_info();
     let text = if json {
-        if info.protocol_version < 3 {
-            return Err(format!(
-                "{addr} speaks protocol v{} — JSON stats need v3 or newer",
-                info.protocol_version
-            ));
-        }
-        client.stats_json().map_err(|e| format!("{addr}: {e}"))?
+        client.stats_json()
     } else {
-        if info.protocol_version < 2 {
-            return Err(format!(
-                "{addr} speaks protocol v{} — Stats needs v2 or newer",
-                info.protocol_version
-            ));
-        }
-        client.stats().map_err(|e| format!("{addr}: {e}"))?
-    };
+        client.stats()
+    }
+    .map_err(|e| format!("{addr}: {e}"))?;
     let _ = client.goodbye();
     Ok(text.trim_end().to_string())
 }
@@ -1341,9 +1334,8 @@ mod tests {
             "{out}"
         );
 
-        // Snapshot directory route: save per-doc indexes, then serve.
-        let dir = std::env::temp_dir().join("ustr_cli_serve_idx");
-        let _ = fs::remove_dir_all(&dir);
+        // Collection snapshot route: save a `.coll`, then serve it.
+        let coll = std::env::temp_dir().join("ustr_cli_serve.coll");
         let collection = load_collection(&docs).unwrap();
         let service = QueryService::build(
             &collection,
@@ -1356,15 +1348,30 @@ mod tests {
             },
         )
         .unwrap();
-        service.save_dir(&dir).unwrap();
+        service.save_collection(&coll).unwrap();
         let quiet = run(&argv(&format!(
             "serve-batch {} {queries} --threads 2 --quiet",
-            dir.display()
+            coll.display()
         )))
         .unwrap();
         // Quiet rows: `query doc pos prob`, identical hits to the build route.
         assert!(quiet.lines().all(|l| l.split_whitespace().count() == 4));
         assert!(quiet.contains("0 0 0 0.9"), "{quiet}");
+        let _ = fs::remove_file(&coll);
+
+        // A per-document snapshot directory is no longer a source: both
+        // static serving commands refuse it cleanly and point at the
+        // collection format.
+        let dir = std::env::temp_dir().join("ustr_cli_serve_idx");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        for cmd in [
+            format!("serve-batch {} {queries}", dir.display()),
+            format!("serve-net {} --addr 127.0.0.1:0", dir.display()),
+        ] {
+            let err = run(&argv(&cmd)).unwrap_err();
+            assert!(err.contains("build-collection"), "{cmd}: {err}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

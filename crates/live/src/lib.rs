@@ -46,6 +46,7 @@
 //!
 //! ```
 //! use ustr_live::{LiveConfig, LiveService};
+//! use ustr_service::QueryBackend;
 //! use ustr_uncertain::UncertainString;
 //!
 //! let dir = std::env::temp_dir().join("ustr_live_doc_example");
@@ -75,8 +76,8 @@ use ustr_baseline::ScanIndex;
 use ustr_core::{ApproxIndex, Error, Index};
 use ustr_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, Span};
 use ustr_service::{
-    lock_clean, wait_clean, DocExecutor, DocHits, Engine, ListingHit, QueryRequest, QueryResponse,
-    Segment, SegmentSet, TopHit,
+    lock_clean, wait_clean, DocExecutor, Engine, QueryBackend, QueryRequest, QueryResponse,
+    Segment, SegmentSet, TraceSummary,
 };
 use ustr_store::{
     collection, wal, CollectionSection, RealIo, Snapshot, SnapshotKind, StoreError, StoreIo, WalOp,
@@ -1160,11 +1161,6 @@ impl LiveService {
         self.inner.epsilon
     }
 
-    /// Number of live (inserted, not deleted) documents.
-    pub fn num_docs(&self) -> usize {
-        self.live_doc_ids().len()
-    }
-
     /// Stable ids of every live document, ascending.
     pub fn live_doc_ids(&self) -> Vec<u64> {
         let st = lock_clean(&self.inner.state);
@@ -1248,30 +1244,6 @@ impl LiveService {
         self.inner.engine.slow_log()
     }
 
-    /// Answers a typed batch of any mix of query modes over a consistent
-    /// point-in-time snapshot, fanning out on the thread pool through the
-    /// same dispatcher as the static service. Document ids in responses
-    /// are the stable insert-time ids.
-    pub fn query_requests(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse, Error>> {
-        let view = self.inner.view();
-        self.inner.engine.run(&view, requests)
-    }
-
-    /// [`LiveService::query_requests`] with tracing: each request's trace
-    /// (fresh, or continuing a propagated parent context) is summarized
-    /// alongside its response. See [`Engine::run_traced`].
-    pub fn query_requests_traced(
-        &self,
-        requests: &[QueryRequest],
-        parents: &[Option<ustr_obs::TraceContext>],
-    ) -> Vec<(
-        Result<QueryResponse, Error>,
-        Option<ustr_service::TraceSummary>,
-    )> {
-        let view = self.inner.view();
-        self.inner.engine.run_traced(&view, requests, parents)
-    }
-
     /// The engine's tracer. Queries *and* background work (WAL appends,
     /// seals, compactions) trace through it, so one `/traces` export shows
     /// foreground latency next to the background churn that caused it.
@@ -1279,7 +1251,7 @@ impl LiveService {
         self.inner.engine.tracer()
     }
 
-    /// Sequential reference for [`LiveService::query_requests`] (same
+    /// Sequential reference for [`QueryBackend::query_requests`] (same
     /// snapshot semantics, same merge path, no pool) — answers are
     /// identical for every mode.
     pub fn query_requests_sequential(
@@ -1289,72 +1261,57 @@ impl LiveService {
         let view = self.inner.view();
         self.inner.engine.run_sequential(&view, requests)
     }
+}
 
-    /// Answers one threshold query.
-    pub fn query(&self, pattern: &[u8], tau: f64) -> Result<Vec<DocHits>, Error> {
-        let req = QueryRequest::Threshold {
-            pattern: pattern.to_vec(),
-            tau,
-        };
-        match self.one_request(req)? {
-            QueryResponse::Threshold(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "threshold request produced a mismatched response kind",
-            )),
-        }
+/// The live service's query surface: every batch runs over one consistent
+/// point-in-time snapshot (sealed segments plus the memtable), fanning out
+/// on the thread pool through the same dispatcher as the static service.
+/// Document ids in responses are the stable insert-time ids.
+impl QueryBackend for LiveService {
+    fn query_requests(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse, Error>> {
+        let view = self.inner.view();
+        self.inner.engine.run(&view, requests)
     }
 
-    /// Answers one collection-wide top-k query.
-    pub fn query_top_k(&self, pattern: &[u8], k: usize) -> Result<Vec<TopHit>, Error> {
-        let req = QueryRequest::TopK {
-            pattern: pattern.to_vec(),
-            k,
-        };
-        match self.one_request(req)? {
-            QueryResponse::TopK(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "top-k request produced a mismatched response kind",
-            )),
-        }
+    /// Number of live (inserted, not deleted) documents.
+    fn num_docs(&self) -> usize {
+        self.live_doc_ids().len()
     }
 
-    /// Answers one listing query.
-    pub fn query_listing(&self, pattern: &[u8], tau: f64) -> Result<Vec<ListingHit>, Error> {
-        let req = QueryRequest::Listing {
-            pattern: pattern.to_vec(),
-            tau,
-        };
-        match self.one_request(req)? {
-            QueryResponse::Listing(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "listing request produced a mismatched response kind",
-            )),
-        }
+    fn tau_min(&self) -> f64 {
+        LiveService::tau_min(self)
     }
 
-    /// Answers one ε-approximate query (exact for scan-served documents
-    /// and when ε is not configured).
-    pub fn query_approx(&self, pattern: &[u8], tau: f64) -> Result<Vec<DocHits>, Error> {
-        let req = QueryRequest::Approx {
-            pattern: pattern.to_vec(),
-            tau,
-        };
-        match self.one_request(req)? {
-            QueryResponse::Approx(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "approx request produced a mismatched response kind",
-            )),
-        }
+    fn metrics_snapshot(&self) -> MetricsSnapshot {
+        LiveService::metrics_snapshot(self)
     }
 
-    fn one_request(&self, req: QueryRequest) -> Result<QueryResponse, Error> {
-        self.query_requests(std::slice::from_ref(&req))
-            .pop()
-            .unwrap_or_else(|| {
-                Err(Error::internal(
-                    "the engine returned no response for a one-request batch",
-                ))
-            })
+    fn slow_queries(&self, n: usize) -> Vec<String> {
+        self.slow_log()
+            .worst(n)
+            .iter()
+            .map(|e| e.render())
+            .collect()
+    }
+
+    /// Each request's trace (fresh, or continuing a propagated parent
+    /// context) is summarized alongside its response. See
+    /// [`ustr_service::Engine::run_traced`].
+    fn query_requests_traced(
+        &self,
+        requests: &[QueryRequest],
+        parents: &[Option<ustr_obs::TraceContext>],
+    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
+        let view = self.inner.view();
+        self.inner.engine.run_traced(&view, requests, parents)
+    }
+
+    fn tracer(&self) -> Option<Arc<ustr_obs::Tracer>> {
+        Some(Arc::clone(LiveService::tracer(self)))
+    }
+
+    fn health(&self) -> Option<String> {
+        self.background_health()
     }
 }
 
@@ -1370,7 +1327,7 @@ impl Drop for LiveService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ustr_service::{QueryService, ServiceConfig};
+    use ustr_service::{DocHits, ListingHit, QueryService, ServiceConfig, TopHit};
 
     fn doc(spec: &str) -> UncertainString {
         UncertainString::parse(spec).unwrap()

@@ -10,7 +10,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use ustr_live::{LiveConfig, LiveService};
 use ustr_service::{
-    DocHits, ListingHit, QueryRequest, QueryResponse, QueryService, ServiceConfig, TopHit,
+    DocHits, ListingHit, QueryBackend, QueryRequest, QueryResponse, QueryService, ServiceConfig,
+    TopHit,
 };
 use ustr_uncertain::UncertainString;
 

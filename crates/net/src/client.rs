@@ -236,6 +236,33 @@ impl NetClient {
         &mut self,
         requests: &[QueryRequest],
     ) -> Result<Vec<Result<QueryResponse, RemoteError>>, NetError> {
+        Ok(self
+            .query_requests_traced(requests, &[])?
+            .into_iter()
+            .map(|(result, _)| result)
+            .collect())
+    }
+
+    /// [`NetClient::query_requests`] with client-propagated trace
+    /// contexts: `contexts[i]` rides to the server on request `i`, whose
+    /// engine-side root span continues the client's trace instead of
+    /// starting a fresh one. Each answer carries the server's per-stage
+    /// timings in microseconds (empty when the server did not sample the
+    /// trace). `contexts` is either empty (an untraced batch, no timings)
+    /// or aligned positionally with `requests`.
+    #[allow(clippy::type_complexity)]
+    pub fn query_requests_traced(
+        &mut self,
+        requests: &[QueryRequest],
+        contexts: &[ustr_obs::TraceContext],
+    ) -> Result<Vec<(Result<QueryResponse, RemoteError>, Vec<(String, u64)>)>, NetError> {
+        if !contexts.is_empty() && contexts.len() != requests.len() {
+            return Err(NetError::Protocol(format!(
+                "{} trace contexts for {} requests (must align positionally)",
+                contexts.len(),
+                requests.len()
+            )));
+        }
         if requests.is_empty() {
             return Ok(Vec::new());
         }
@@ -246,6 +273,7 @@ impl NetClient {
             burst.extend_from_slice(&frame_bytes(&Frame::Request {
                 id: base + i as u64,
                 request: request.clone(),
+                trace: contexts.get(i).map(|&ctx| WireTraceContext::from(ctx)),
             }));
         }
         // A burst bigger than the socket buffers could deadlock if written
@@ -263,106 +291,13 @@ impl NetClient {
             Some(std::thread::spawn(move || writer.write_all(&burst)))
         };
 
-        let mut results: Vec<Option<Result<QueryResponse, RemoteError>>> =
-            vec![None; requests.len()];
-        let mut outstanding = requests.len();
-        while outstanding > 0 {
-            match read_message(&mut self.reader, self.max_frame_len)? {
-                Some(Frame::Response { id, result }) => {
-                    let slot = id
-                        .checked_sub(base)
-                        .and_then(|i| results.get_mut(i as usize))
-                        .ok_or_else(|| {
-                            NetError::Protocol(format!("response for unknown request id {id}"))
-                        })?;
-                    if slot.is_some() {
-                        return Err(NetError::Protocol(format!(
-                            "duplicate response for request id {id}"
-                        )));
-                    }
-                    *slot = Some(result);
-                    outstanding -= 1;
-                }
-                Some(Frame::Error { code, message }) => {
-                    return Err(NetError::Server { code, message })
-                }
-                Some(Frame::Goodbye) | None => return Err(NetError::Disconnected),
-                Some(other) => {
-                    return Err(NetError::Protocol(format!(
-                        "unexpected frame mid-session: {other:?}"
-                    )))
-                }
-            }
-        }
-        if let Some(handle) = write_thread {
-            handle
-                .join()
-                .map_err(|_| NetError::Protocol("burst writer thread panicked".into()))??;
-        }
-        let mut out = Vec::with_capacity(results.len());
-        for r in results {
-            out.push(r.ok_or_else(|| {
-                NetError::Protocol("server closed the session with responses outstanding".into())
-            })?);
-        }
-        Ok(out)
-    }
-
-    /// Answers a typed batch with client-propagated trace contexts
-    /// (protocol v3+): `contexts[i]` rides to the server on request `i`,
-    /// whose engine-side root span continues the client's trace instead of
-    /// starting a fresh one. Each answer carries the server's per-stage
-    /// timings in microseconds (empty when the server did not sample the
-    /// trace). `contexts` must align positionally with `requests`.
-    #[allow(clippy::type_complexity)]
-    pub fn query_requests_traced(
-        &mut self,
-        requests: &[QueryRequest],
-        contexts: &[ustr_obs::TraceContext],
-    ) -> Result<Vec<(Result<QueryResponse, RemoteError>, Vec<(String, u64)>)>, NetError> {
-        if self.info.protocol_version < 3 {
-            return Err(NetError::Protocol(format!(
-                "traced queries require protocol version 3 (this session negotiated {})",
-                self.info.protocol_version
-            )));
-        }
-        if contexts.len() != requests.len() {
-            return Err(NetError::Protocol(format!(
-                "{} trace contexts for {} requests (must align positionally)",
-                contexts.len(),
-                requests.len()
-            )));
-        }
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let base = self.next_id;
-        self.next_id += requests.len() as u64;
-        let mut burst = Vec::new();
-        for (i, (request, ctx)) in requests.iter().zip(contexts).enumerate() {
-            burst.extend_from_slice(&frame_bytes(&Frame::RequestTraced {
-                id: base + i as u64,
-                request: request.clone(),
-                trace: WireTraceContext::from(*ctx),
-            }));
-        }
-        // Same deadlock-avoiding burst split as `query_requests`.
-        const SYNC_BURST_LIMIT: usize = 32 << 10;
-        let write_thread = if burst.len() <= SYNC_BURST_LIMIT {
-            self.writer.write_all(&burst)?;
-            None
-        } else {
-            let mut writer = self.writer.try_clone()?;
-            Some(std::thread::spawn(move || writer.write_all(&burst)))
-        };
-
         type Timed = (Result<QueryResponse, RemoteError>, Vec<(String, u64)>);
         let mut results: Vec<Option<Timed>> = Vec::new();
         results.resize_with(requests.len(), || None);
         let mut outstanding = requests.len();
         while outstanding > 0 {
             match read_message(&mut self.reader, self.max_frame_len)? {
-                Some(Frame::ResponseTimed {
+                Some(Frame::Response {
                     id,
                     result,
                     timings,
@@ -439,47 +374,25 @@ impl NetClient {
             .ok_or_else(|| NetError::Protocol("one-request batch yielded no response".into()))
     }
 
-    /// Scrapes the server's telemetry (protocol v2+): one
+    /// Scrapes the server's telemetry: one
     /// [`Frame::StatsRequest`]/[`Frame::StatsResponse`] round trip, with
     /// the exposition-format text returned verbatim. The server holds the
     /// answer behind the connection's in-flight permits, so a scrape after
     /// a pipelined burst observes all of that burst's responses.
     pub fn stats(&mut self) -> Result<String, NetError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.writer
-            .write_all(&frame_bytes(&Frame::StatsRequest { id }))?;
-        match read_message(&mut self.reader, self.max_frame_len)? {
-            Some(Frame::StatsResponse { id: got, text }) => {
-                if got != id {
-                    return Err(NetError::Protocol(format!(
-                        "stats response for unknown request id {got}"
-                    )));
-                }
-                Ok(text)
-            }
-            Some(Frame::Error { code, message }) => Err(NetError::Server { code, message }),
-            Some(other) => Err(NetError::Protocol(format!(
-                "expected StatsResponse, got {other:?}"
-            ))),
-            None => Err(NetError::Disconnected),
-        }
+        self.scrape(false)
     }
 
-    /// Scrapes the server's telemetry in the machine-readable JSON
-    /// rendering (protocol v3+): one [`Frame::StatsJsonRequest`] round
-    /// trip, answered with a [`Frame::StatsResponse`] whose body is JSON.
+    /// [`NetClient::stats`] in the machine-readable JSON rendering.
     pub fn stats_json(&mut self) -> Result<String, NetError> {
-        if self.info.protocol_version < 3 {
-            return Err(NetError::Protocol(format!(
-                "JSON stats require protocol version 3 (this session negotiated {})",
-                self.info.protocol_version
-            )));
-        }
+        self.scrape(true)
+    }
+
+    fn scrape(&mut self, json: bool) -> Result<String, NetError> {
         let id = self.next_id;
         self.next_id += 1;
         self.writer
-            .write_all(&frame_bytes(&Frame::StatsJsonRequest { id }))?;
+            .write_all(&frame_bytes(&Frame::StatsRequest { id, json }))?;
         match read_message(&mut self.reader, self.max_frame_len)? {
             Some(Frame::StatsResponse { id: got, text }) => {
                 if got != id {
@@ -497,18 +410,12 @@ impl NetClient {
         }
     }
 
-    /// Probes the server's health (protocol v4+): one
+    /// Probes the server's health: one
     /// [`Frame::HealthRequest`]/[`Frame::HealthResponse`] round trip.
     /// Returns `None` when healthy, or the server's description of the
     /// impairment — e.g. a live backend whose background maintenance
     /// halted on a storage fault (still answering queries, degraded).
     pub fn health(&mut self) -> Result<Option<String>, NetError> {
-        if self.info.protocol_version < 4 {
-            return Err(NetError::Protocol(format!(
-                "health probes require protocol version 4 (this session negotiated {})",
-                self.info.protocol_version
-            )));
-        }
         let id = self.next_id;
         self.next_id += 1;
         self.writer

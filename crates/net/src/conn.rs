@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn every_split_point_yields_the_same_frames() {
         let mut stream = Vec::new();
-        stream.extend_from_slice(&frame_bytes(&Frame::StatsRequest { id: 7 }));
+        stream.extend_from_slice(&frame_bytes(&Frame::StatsRequest { id: 7, json: false }));
         stream.extend_from_slice(&frame_bytes(&Frame::Goodbye));
         for cut in 0..=stream.len() {
             let mut reader = FrameReader::default();
@@ -284,7 +284,7 @@ mod tests {
             assert_eq!(
                 got,
                 vec![
-                    format!("{:?}", Frame::StatsRequest { id: 7 }),
+                    format!("{:?}", Frame::StatsRequest { id: 7, json: false }),
                     format!("{:?}", Frame::Goodbye)
                 ],
                 "split at byte {cut}"
@@ -376,7 +376,7 @@ mod tests {
             }
         }
 
-        let first = frame_bytes(&Frame::StatsRequest { id: 1 });
+        let first = frame_bytes(&Frame::StatsRequest { id: 1, json: false });
         let second = frame_bytes(&Frame::Goodbye);
         let mut wq = WriteQueue::default();
         wq.push(first.clone(), true, true);

@@ -39,9 +39,7 @@ use ustr_poll::{Interest, Poller, Waker};
 use ustr_service::{mode_name, QueryRequest, WakeQueue};
 
 use crate::conn::{FrameReader, FrameStep, Phase, WriteQueue};
-use crate::proto::{
-    err_code, frame_bytes, Frame, RemoteError, MIN_PROTOCOL_VERSION, NET_MAGIC, PROTOCOL_VERSION,
-};
+use crate::proto::{err_code, frame_bytes, Frame, RemoteError, NET_MAGIC, PROTOCOL_VERSION};
 use crate::server::{stats_json, stats_text, Shared};
 
 /// Token for the listening socket (loop 0 only).
@@ -171,8 +169,6 @@ struct Conn {
     reader: FrameReader,
     wq: WriteQueue,
     phase: Phase,
-    /// The negotiated protocol version (0 until the handshake completes).
-    session_version: u32,
     /// Requests dispatched (or stats answers queued) whose responses have
     /// not yet fully reached the socket — the backpressure window.
     inflight: usize,
@@ -412,7 +408,6 @@ impl EventLoop {
                 reader: FrameReader::default(),
                 wq: WriteQueue::default(),
                 phase: Phase::Handshake,
-                session_version: 0,
                 inflight: 0,
                 eof: false,
                 handshaken: false,
@@ -725,19 +720,18 @@ impl EventLoop {
     fn on_frame(&self, conn: &mut Conn, frame: Frame, wire_len: u64) {
         match (conn.phase, frame) {
             (Phase::Handshake, Frame::Hello { magic, version }) if magic == NET_MAGIC => {
-                if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+                if version != PROTOCOL_VERSION {
                     conn.fatal = Some(Frame::Error {
                         code: err_code::UNSUPPORTED_VERSION,
                         message: format!(
                             "protocol version {version} is not supported (this server \
-                             speaks {MIN_PROTOCOL_VERSION} through {PROTOCOL_VERSION})"
+                             speaks {PROTOCOL_VERSION})"
                         ),
                     });
                     conn.eof = true;
                     conn.phase = Phase::Draining;
                     return;
                 }
-                conn.session_version = version;
                 conn.handshaken = true;
                 conn.phase = Phase::Serving;
                 conn.wq.push(
@@ -758,78 +752,32 @@ impl EventLoop {
                 conn.eof = true;
                 conn.phase = Phase::Draining;
             }
-            (Phase::Serving, Frame::Request { id, request }) => {
-                self.note_request(conn, wire_len);
-                conn.inflight += 1;
-                self.dispatch(conn.id, id, request, None);
-            }
-            (Phase::Serving, Frame::RequestTraced { id, request, trace }) => {
-                if conn.session_version < 3 {
-                    conn.fatal = Some(Frame::Error {
-                        code: err_code::MALFORMED_FRAME,
-                        message: format!(
-                            "RequestTraced requires protocol version 3 \
-                             (this session negotiated {})",
-                            conn.session_version
-                        ),
-                    });
-                    conn.eof = true;
-                    conn.phase = Phase::Draining;
-                    return;
-                }
+            (Phase::Serving, Frame::Request { id, request, trace }) => {
                 self.note_request(conn, wire_len);
                 conn.inflight += 1;
                 self.dispatch(
                     conn.id,
                     id,
                     request,
-                    Some(ustr_obs::TraceContext::from(trace)),
+                    trace.map(ustr_obs::TraceContext::from),
                 );
             }
-            (Phase::Serving, Frame::StatsRequest { id }) => {
+            (Phase::Serving, Frame::StatsRequest { id, json }) => {
                 // Answered inline (a snapshot render, not a query) but
                 // still through the in-flight window, so it stays ordered
                 // behind the backpressure bound and the drain accounts for
                 // it. Deliberately invisible to every counter: two idle
                 // scrapes return identical bytes.
                 conn.inflight += 1;
-                let text = stats_text(&self.shared);
-                conn.wq
-                    .push(frame_bytes(&Frame::StatsResponse { id, text }), false, true);
-            }
-            (Phase::Serving, Frame::StatsJsonRequest { id }) => {
-                if conn.session_version < 3 {
-                    conn.fatal = Some(Frame::Error {
-                        code: err_code::MALFORMED_FRAME,
-                        message: format!(
-                            "StatsJsonRequest requires protocol version 3 \
-                             (this session negotiated {})",
-                            conn.session_version
-                        ),
-                    });
-                    conn.eof = true;
-                    conn.phase = Phase::Draining;
-                    return;
-                }
-                conn.inflight += 1;
-                let text = stats_json(&self.shared);
+                let text = if json {
+                    stats_json(&self.shared)
+                } else {
+                    stats_text(&self.shared)
+                };
                 conn.wq
                     .push(frame_bytes(&Frame::StatsResponse { id, text }), false, true);
             }
             (Phase::Serving, Frame::HealthRequest { id }) => {
-                if conn.session_version < 4 {
-                    conn.fatal = Some(Frame::Error {
-                        code: err_code::MALFORMED_FRAME,
-                        message: format!(
-                            "HealthRequest requires protocol version 4 \
-                             (this session negotiated {})",
-                            conn.session_version
-                        ),
-                    });
-                    conn.eof = true;
-                    conn.phase = Phase::Draining;
-                    return;
-                }
                 // Answered inline like StatsRequest: a flag read, not a
                 // query — and likewise invisible to the traffic counters.
                 conn.inflight += 1;
@@ -876,7 +824,10 @@ impl EventLoop {
 
     /// Fans one query onto the shared pool; the worker computes, frames,
     /// and pushes the response back through this loop's queue (the push
-    /// rings the waker).
+    /// rings the waker). Every request takes the traced path — with no
+    /// parent it does exactly the work of an untraced run — and per-stage
+    /// timings ride back only when the client sent a trace context and
+    /// the backend sampled it.
     fn dispatch(
         &self,
         conn_id: u64,
@@ -889,56 +840,35 @@ impl EventLoop {
         let rtt = self.shared.metrics.rtt_for(mode_name(&request)).clone();
         self.shared.pool.execute(move || {
             let span = Span::on(rtt);
-            let failed;
-            let bytes = match parent {
-                None => {
-                    let result = backend
-                        .query_requests(std::slice::from_ref(&request))
-                        .pop()
-                        .unwrap_or_else(|| {
-                            Err(ustr_core::Error::internal(
-                                "the backend returned no response for a one-request batch",
-                            ))
-                        })
-                        .map_err(|e| RemoteError::from(&e));
-                    failed = result.is_err();
-                    frame_bytes(&Frame::Response { id, result })
-                }
-                Some(parent) => {
-                    let (result, summary) = backend
-                        .query_requests_traced(
-                            std::slice::from_ref(&request),
-                            std::slice::from_ref(&Some(parent)),
-                        )
-                        .pop()
-                        .unwrap_or_else(|| {
-                            (
-                                Err(ustr_core::Error::internal(
-                                    "the backend returned no response for a one-request batch",
-                                )),
-                                None,
-                            )
-                        });
-                    let result = result.map_err(|e| RemoteError::from(&e));
-                    failed = result.is_err();
-                    // Per-stage server timings ride back on the response;
-                    // an untraced backend (or unsampled trace) reports
-                    // none.
-                    let timings = summary
-                        .map(|s| {
-                            s.stages
-                                .into_iter()
-                                .map(|(name, us)| (name.to_string(), us))
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    frame_bytes(&Frame::ResponseTimed {
-                        id,
-                        result,
-                        timings,
-                    })
-                }
+            let (result, summary) = backend
+                .query_requests_traced(
+                    std::slice::from_ref(&request),
+                    std::slice::from_ref(&parent),
+                )
+                .pop()
+                .unwrap_or_else(|| {
+                    (
+                        Err(ustr_core::Error::internal(
+                            "the backend returned no response for a one-request batch",
+                        )),
+                        None,
+                    )
+                });
+            let result = result.map_err(|e| RemoteError::from(&e));
+            let failed = result.is_err();
+            let timings = match (parent, summary) {
+                (Some(_), Some(summary)) => summary
+                    .stages
+                    .into_iter()
+                    .map(|(name, us)| (name.to_string(), us))
+                    .collect(),
+                _ => Vec::new(),
             };
+            let bytes = frame_bytes(&Frame::Response {
+                id,
+                result,
+                timings,
+            });
             span.finish();
             queue.push(LoopMsg::Done {
                 conn: conn_id,

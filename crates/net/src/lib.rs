@@ -9,11 +9,12 @@
 //!
 //! * **Wire protocol** ([`proto`]) — length-prefixed, FNV-1a-checksummed
 //!   frames built on [`ustr_store::wire`]'s framing and payload primitives.
-//!   A session opens with a magic + version handshake; requests and
-//!   responses are the *same* typed [`QueryRequest`]/[`QueryResponse`]
-//!   values the in-process engine dispatches, with `f64` probabilities as
-//!   IEEE-754 bit patterns — a decoded response compares equal to the
-//!   in-process answer, bit for bit.
+//!   A session opens with a magic + version handshake (one protocol
+//!   version, [`PROTOCOL_VERSION`]); requests and responses are the *same*
+//!   typed [`QueryRequest`]/[`QueryResponse`] values the in-process engine
+//!   dispatches, with `f64` probabilities as IEEE-754 bit patterns — a
+//!   decoded response compares equal to the in-process answer, bit for
+//!   bit.
 //! * **Server** ([`NetServer`]) — a small set of readiness-driven event
 //!   loops ([`ustr_poll::Poller`]: epoll on Linux, poll(2) elsewhere) own
 //!   a non-blocking listener and every connection's state machine
@@ -21,31 +22,26 @@
 //!   partial-read and partial-write buffers), while query execution fans
 //!   onto the shared [`ustr_service::ThreadPool`] and finished responses
 //!   return through a wakeable queue. The backend is anything
-//!   implementing [`QueryBackend`]: a static
-//!   [`ustr_service::QueryService`] (`.coll` snapshot or snapshot
-//!   directory) or a mutable [`ustr_live::LiveService`] — both reached
-//!   through the same `Engine`/`SegmentSet` dispatch path, so network
-//!   answers inherit the determinism contract (parallel ≡ sequential, at
-//!   any thread count).
+//!   implementing [`QueryBackend`] (the `ustr-service` query trait,
+//!   re-exported here): a static [`ustr_service::QueryService`] or a
+//!   mutable `ustr_live::LiveService` — both reached through the same
+//!   `Engine`/`SegmentSet` dispatch path, so network answers inherit the
+//!   determinism contract (parallel ≡ sequential, at any thread count).
 //! * **Client** ([`NetClient`]) — handshakes, pipelines whole batches in
 //!   one write, and re-aligns out-of-order responses by request id.
 //! * **Telemetry** — every server keeps an instance-scoped
 //!   [`ustr_obs::MetricsRegistry`] (connections, frames/bytes in and out,
-//!   per-mode round-trip histograms) and answers the protocol-v2
+//!   per-mode round-trip histograms) and answers
 //!   [`proto::Frame::StatsRequest`] with its own counters merged with the
-//!   backend engine's, rendered as deterministic exposition text. The
-//!   stats path touches no counter, so two idle scrapes are
-//!   byte-identical; v1 clients (no Stats frames) are still served.
-//! * **Tracing** (protocol v3) — [`proto::Frame::RequestTraced`] carries a
-//!   client [`ustr_obs::TraceContext`] so the server engine's root span
+//!   backend engine's, rendered as deterministic exposition text or JSON.
+//!   The stats path touches no counter, so two idle scrapes are
+//!   byte-identical.
+//! * **Tracing** — a [`proto::Frame::Request`] may carry a client
+//!   [`ustr_obs::TraceContext`] so the server engine's root span
 //!   *continues* the client's trace (one distributed span tree across both
-//!   processes), and the answer rides back as
-//!   [`proto::Frame::ResponseTimed`] with per-stage server timings.
-//!   [`proto::Frame::StatsJsonRequest`] scrapes telemetry as JSON, and
-//!   [`NetServer::traces_json`]/[`NetServer::trace_source`] export the
-//!   backend's finished traces as Chrome `trace_event` JSON. Sessions
-//!   negotiating v1/v2 never see the new kinds and their encodings are
-//!   untouched, byte for byte.
+//!   processes), and its [`proto::Frame::Response`] then carries per-stage
+//!   server timings. [`NetServer::traces_json`]/[`NetServer::trace_source`]
+//!   export the backend's finished traces as Chrome `trace_event` JSON.
 //!
 //! # Guarantees
 //!
@@ -103,8 +99,7 @@ pub mod server;
 pub use client::{ClientConfig, NetClient, NetError, ServerInfo};
 pub use event_loop::LoopStatsSnapshot;
 pub use proto::{
-    Frame, RemoteError, WireTraceContext, DEFAULT_MAX_FRAME_LEN, MIN_PROTOCOL_VERSION, NET_MAGIC,
-    PROTOCOL_VERSION,
+    Frame, RemoteError, WireTraceContext, DEFAULT_MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
 };
 pub use retry::{ResilientClient, RetryPolicy, RetryStats};
 pub use server::{NetServer, QueryBackend, ServerConfig};
@@ -305,6 +300,7 @@ mod tests {
                         pattern: b"AB".to_vec(),
                         tau: 0.5,
                     },
+                    trace: None,
                 }))
                 .unwrap();
         }
@@ -331,54 +327,6 @@ mod tests {
             "shutdown must not wedge on a non-reading client"
         );
         drop(stalled);
-    }
-
-    #[test]
-    fn a_version_1_client_is_still_served() {
-        use std::io::Write;
-        let service = Arc::new(service());
-        let server = NetServer::serve(
-            "127.0.0.1:0",
-            Arc::clone(&service) as _,
-            ServerConfig::default(),
-        )
-        .unwrap();
-        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        raw.write_all(&proto::frame_bytes(&Frame::Hello {
-            magic: NET_MAGIC,
-            version: MIN_PROTOCOL_VERSION,
-        }))
-        .unwrap();
-        let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
-        let ack = proto::read_message(&mut reader, DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .unwrap();
-        let Frame::HelloAck { version, .. } = ack else {
-            panic!("expected HelloAck, got {ack:?}");
-        };
-        assert_eq!(version, MIN_PROTOCOL_VERSION, "ack echoes the client");
-
-        let request = QueryRequest::Threshold {
-            pattern: b"AB".to_vec(),
-            tau: 0.3,
-        };
-        raw.write_all(&proto::frame_bytes(&Frame::Request {
-            id: 7,
-            request: request.clone(),
-        }))
-        .unwrap();
-        let reply = proto::read_message(&mut reader, DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .unwrap();
-        let Frame::Response { id, result } = reply else {
-            panic!("expected Response, got {reply:?}");
-        };
-        assert_eq!(id, 7);
-        assert_eq!(
-            result.unwrap(),
-            service.query_requests(&[request]).remove(0).unwrap()
-        );
-        server.shutdown();
     }
 
     #[test]
@@ -506,11 +454,13 @@ mod tests {
     }
 
     #[test]
-    fn a_v2_session_round_trips_byte_identically_and_rejects_traced_frames() {
+    fn one_protocol_version_with_optional_trace_and_timings() {
         use std::io::Write;
-        // Tracing fully on, yet a v2 session must see byte-for-byte the
-        // same reply a pre-tracing server would send — and the v3 frame
-        // kinds must be refused, not half-served.
+        // Tracing fully on. (i) An untraced request's reply is exactly the
+        // local answer with no timings, byte for byte; (ii) the same
+        // request with a trace context gets the identical result plus the
+        // server's stage timings; (iii) a Hello naming any other version
+        // is refused.
         let service = Arc::new(service());
         service.tracer().set_sample_permyriad(10_000);
         let server = NetServer::serve(
@@ -522,7 +472,7 @@ mod tests {
         let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
         raw.write_all(&proto::frame_bytes(&Frame::Hello {
             magic: NET_MAGIC,
-            version: 2,
+            version: PROTOCOL_VERSION,
         }))
         .unwrap();
         let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
@@ -532,7 +482,7 @@ mod tests {
         let Frame::HelloAck { version, .. } = ack else {
             panic!("expected HelloAck, got {ack:?}");
         };
-        assert_eq!(version, 2, "the ack echoes the negotiated version");
+        assert_eq!(version, PROTOCOL_VERSION);
 
         let request = QueryRequest::Threshold {
             pattern: b"AB".to_vec(),
@@ -541,42 +491,70 @@ mod tests {
         raw.write_all(&proto::frame_bytes(&Frame::Request {
             id: 11,
             request: request.clone(),
+            trace: None,
         }))
         .unwrap();
-        // Byte identity on the wire: the raw reply payload equals the
-        // local encoding of the expected v2 Response frame.
         let payload = ustr_store::read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN)
             .unwrap()
             .unwrap();
-        let local = service.query_requests(&[request]).remove(0).unwrap();
+        let local = service
+            .query_requests(std::slice::from_ref(&request))
+            .remove(0)
+            .unwrap();
         let expected = proto::encode_frame(&Frame::Response {
             id: 11,
-            result: Ok(local),
+            result: Ok(local.clone()),
+            timings: vec![],
         });
-        assert_eq!(payload, expected, "v2 reply is byte-identical");
+        assert_eq!(payload, expected, "untraced reply is byte-identical");
 
-        // A v3-only frame on the v2 session is a protocol error.
-        raw.write_all(&proto::frame_bytes(&Frame::RequestTraced {
+        raw.write_all(&proto::frame_bytes(&Frame::Request {
             id: 12,
-            request: QueryRequest::Threshold {
-                pattern: b"AB".to_vec(),
-                tau: 0.3,
-            },
-            trace: proto::WireTraceContext::from(ustr_obs::TraceContext {
+            request,
+            trace: Some(proto::WireTraceContext::from(ustr_obs::TraceContext {
                 trace_id: 1,
                 parent_span: 2,
                 sampled: true,
-            }),
+            })),
         }))
         .unwrap();
         let reply = proto::read_message(&mut reader, DEFAULT_MAX_FRAME_LEN)
             .unwrap()
             .unwrap();
-        let Frame::Error { code, message } = reply else {
+        let Frame::Response {
+            id,
+            result,
+            timings,
+        } = reply
+        else {
+            panic!("expected Response, got {reply:?}");
+        };
+        assert_eq!(id, 12);
+        assert_eq!(result.unwrap(), local, "tracing never changes a result");
+        assert!(
+            !timings.is_empty(),
+            "a sampled traced request reports stages"
+        );
+
+        let mut old = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        old.write_all(&proto::frame_bytes(&Frame::Hello {
+            magic: NET_MAGIC,
+            version: 4,
+        }))
+        .unwrap();
+        let reply = proto::read_message(&mut old, DEFAULT_MAX_FRAME_LEN)
+            .unwrap()
+            .unwrap();
+        let Frame::Error { code, .. } = reply else {
             panic!("expected an error frame, got {reply:?}");
         };
-        assert_eq!(code, proto::err_code::MALFORMED_FRAME);
-        assert!(message.contains("version 3"), "{message}");
+        assert_eq!(code, proto::err_code::UNSUPPORTED_VERSION);
+        assert!(
+            proto::read_message(&mut old, DEFAULT_MAX_FRAME_LEN)
+                .unwrap()
+                .is_none(),
+            "the refused connection closes"
+        );
         server.shutdown();
     }
 
@@ -645,7 +623,6 @@ mod tests {
 
     #[test]
     fn health_probes_report_backend_degradation() {
-        use std::io::Write;
         // A static backend is always healthy.
         let server =
             NetServer::serve("127.0.0.1:0", Arc::new(service()), ServerConfig::default()).unwrap();
@@ -682,27 +659,6 @@ mod tests {
         let detail = client.health().unwrap().expect("degraded");
         assert!(detail.contains("halted"), "{detail}");
 
-        // A v3 session must have the v4-only probe refused, not answered.
-        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        raw.write_all(&proto::frame_bytes(&Frame::Hello {
-            magic: NET_MAGIC,
-            version: 3,
-        }))
-        .unwrap();
-        let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
-        proto::read_message(&mut reader, DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .unwrap();
-        raw.write_all(&proto::frame_bytes(&Frame::HealthRequest { id: 1 }))
-            .unwrap();
-        let reply = proto::read_message(&mut reader, DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .unwrap();
-        let Frame::Error { code, message } = reply else {
-            panic!("expected an error frame, got {reply:?}");
-        };
-        assert_eq!(code, proto::err_code::MALFORMED_FRAME);
-        assert!(message.contains("version 4"), "{message}");
         server.shutdown();
     }
 
@@ -821,6 +777,7 @@ mod tests {
                 pattern: b"AB".to_vec(),
                 tau: 0.3,
             },
+            trace: None,
         }))
         .unwrap();
         // Let the request dispatch and park on the gate.

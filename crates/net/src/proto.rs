@@ -12,23 +12,19 @@
 //! # Session shape
 //!
 //! ```text
-//! client                                server
-//!   │── Hello { magic, version } ─────────▶│   exactly one, first
-//!   │◀─ HelloAck { version, docs, τmin } ──│   (or Error + close)
-//!   │── Request { id, query }  ──────────▶│
-//!   │── Request { id, query }  ──────────▶│   pipelined freely
-//!   │◀─ Response { id, result } ───────────│   any order, matched by id
-//!   │◀─ Response { id, result } ───────────│
-//!   │── StatsRequest { id } ─────────────▶│   v2+: telemetry scrape
-//!   │◀─ StatsResponse { id, text } ────────│   deterministic exposition text
-//!   │── RequestTraced { id, query, ctx } ▶│   v3+: query + trace context
-//!   │◀─ ResponseTimed { id, result, t[] } ─│   answer + per-stage timings
-//!   │── StatsJsonRequest { id } ─────────▶│   v3+: JSON telemetry scrape
-//!   │◀─ StatsResponse { id, json } ────────│   (same response frame, JSON body)
-//!   │── HealthRequest { id } ────────────▶│   v4+: degradation probe
-//!   │◀─ HealthResponse { id, degraded } ───│
-//!   │◀─ Error { code, message } ───────────│   fatal: connection closes
-//!   │◀─ Goodbye ───────────────────────────│   graceful server shutdown
+//! client                                    server
+//!   │── Hello { magic, version } ─────────────▶│   exactly one, first
+//!   │◀─ HelloAck { version, docs, τmin } ──────│   (or Error + close)
+//!   │── Request { id, query, trace? } ────────▶│
+//!   │── Request { id, query, trace? } ────────▶│   pipelined freely
+//!   │◀─ Response { id, result, timings } ──────│   any order, matched by id
+//!   │◀─ Response { id, result, timings } ──────│   timings: traced + sampled only
+//!   │── StatsRequest { id, json } ────────────▶│   telemetry scrape
+//!   │◀─ StatsResponse { id, text } ────────────│   exposition text or JSON
+//!   │── HealthRequest { id } ─────────────────▶│   degradation probe
+//!   │◀─ HealthResponse { id, degraded } ───────│
+//!   │◀─ Error { code, message } ───────────────│   fatal: connection closes
+//!   │◀─ Goodbye ───────────────────────────────│   graceful server shutdown
 //! ```
 //!
 //! Decoding is total: any truncated, corrupted, or structurally inconsistent
@@ -44,24 +40,10 @@ use ustr_store::{write_frame, Reader, StoreError, Writer};
 /// Magic bytes opening every [`Frame::Hello`].
 pub const NET_MAGIC: [u8; 8] = *b"USTRNET1";
 
-/// Protocol version spoken by this build. Version 2 added the
-/// `StatsRequest`/`StatsResponse` telemetry frames; version 3 added the
-/// tracing frames (`RequestTraced` carrying a propagated trace context,
-/// `ResponseTimed` carrying per-stage server timings back) and the
-/// `StatsJsonRequest` JSON telemetry scrape; version 4 adds the health
-/// probe (`HealthRequest`/`HealthResponse`, reporting whether the backend
-/// is degraded — e.g. a live collection whose background maintenance hit a
-/// storage fault) and the [`err_code::ERROR_BUDGET_EXCEEDED`] close.
-/// Everything an older session could say is byte-for-byte unchanged, so
-/// the server still accepts any version in
-/// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`] and answers with the
-/// client's version (old clients stay served; newer-only frames on an
-/// older session are a malformed-frame error). Anything outside the range
-/// is answered with [`err_code::UNSUPPORTED_VERSION`] and a close.
-pub const PROTOCOL_VERSION: u32 = 4;
-
-/// Oldest protocol version the server still accepts.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
+/// Protocol version spoken by this build. The server accepts exactly this
+/// version; a `Hello` naming any other is answered with
+/// [`err_code::UNSUPPORTED_VERSION`] and a close.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Default cap on one frame's payload length (requests and responses).
 pub const DEFAULT_MAX_FRAME_LEN: usize = 16 << 20;
@@ -78,7 +60,7 @@ pub mod err_code {
     /// unexpected kind mid-session).
     pub const MALFORMED_FRAME: u32 = 3;
     /// The connection produced more failing requests than the server's
-    /// per-connection error budget allows (protocol v4+). Pending answers
+    /// per-connection error budget allows. Pending answers
     /// are still delivered first — the answer-first contract.
     pub const ERROR_BUDGET_EXCEEDED: u32 = 4;
 }
@@ -93,14 +75,11 @@ mod kind {
     pub const GOODBYE: u8 = 6;
     pub const STATS_REQUEST: u8 = 7;
     pub const STATS_RESPONSE: u8 = 8;
-    pub const REQUEST_TRACED: u8 = 9;
-    pub const RESPONSE_TIMED: u8 = 10;
-    pub const STATS_JSON_REQUEST: u8 = 11;
-    pub const HEALTH_REQUEST: u8 = 12;
-    pub const HEALTH_RESPONSE: u8 = 13;
+    pub const HEALTH_REQUEST: u8 = 9;
+    pub const HEALTH_RESPONSE: u8 = 10;
 }
 
-/// A trace context as carried on the wire (protocol v3+): the 128-bit
+/// A trace context as carried on the wire: the 128-bit
 /// trace id split into two words, the parent span id, and the
 /// originator's sampling decision. The deterministic sampler makes the
 /// same keep/drop choice for the id on every node, so propagating the
@@ -203,6 +182,10 @@ pub enum Frame {
         id: u64,
         /// The query itself.
         request: QueryRequest,
+        /// The client's trace context, when the request is traced: the
+        /// server's spans then continue the client's trace, and the
+        /// response carries the server's per-stage timings.
+        trace: Option<WireTraceContext>,
     },
     /// The answer to the [`Frame::Request`] with the same `id`.
     Response {
@@ -210,57 +193,34 @@ pub enum Frame {
         id: u64,
         /// The engine's answer, or the per-request validation error.
         result: Result<QueryResponse, RemoteError>,
+        /// `(stage name, microseconds)` measured on the server, in
+        /// lifecycle order. Empty unless the request carried a trace
+        /// context and the server sampled it — tracing never changes
+        /// `result`.
+        timings: Vec<(String, u64)>,
     },
-    /// Telemetry scrape (protocol v2+), tagged like a request for
-    /// pipelining. Deliberately excluded from the server's traffic
-    /// counters so that two idle scrapes return byte-identical snapshots.
+    /// Telemetry scrape, tagged like a request for pipelining.
+    /// Deliberately excluded from the server's traffic counters so that
+    /// two idle scrapes return byte-identical snapshots.
     StatsRequest {
         /// Echoed verbatim in the matching [`Frame::StatsResponse`].
         id: u64,
+        /// `false` asks for the deterministic plaintext exposition format
+        /// (`ustr_obs::MetricsSnapshot::render_text`, followed by any
+        /// slow-query lines); `true` for the deterministic JSON rendering
+        /// (`ustr_obs::MetricsSnapshot::render_json`).
+        json: bool,
     },
-    /// The server's telemetry snapshot: counters, gauges, and histograms
-    /// rendered in the deterministic plaintext exposition format (see
-    /// `ustr_obs::MetricsSnapshot::render_text`), followed by any
-    /// slow-query lines.
+    /// The server's telemetry snapshot, in the rendering the
+    /// [`Frame::StatsRequest`] asked for.
     StatsResponse {
         /// The id of the [`Frame::StatsRequest`] this answers.
         id: u64,
-        /// Exposition-format text (stable byte-for-byte given equal state).
+        /// Exposition text or JSON (stable byte-for-byte given equal
+        /// state).
         text: String,
     },
-    /// One query plus a propagated trace context (protocol v3+). The
-    /// server continues the trace — its spans share the client's trace id
-    /// — and answers with a [`Frame::ResponseTimed`].
-    RequestTraced {
-        /// Echoed verbatim in the matching [`Frame::ResponseTimed`].
-        id: u64,
-        /// The query itself.
-        request: QueryRequest,
-        /// The client's trace context for this request.
-        trace: WireTraceContext,
-    },
-    /// The answer to the [`Frame::RequestTraced`] with the same `id`,
-    /// plus the server-side per-stage breakdown (protocol v3+). The
-    /// result bytes are identical to the plain [`Frame::Response`]
-    /// encoding — tracing never changes an answer.
-    ResponseTimed {
-        /// The id of the traced request this answers.
-        id: u64,
-        /// The engine's answer, or the per-request validation error.
-        result: Result<QueryResponse, RemoteError>,
-        /// `(stage name, microseconds)` measured on the server, in
-        /// lifecycle order — the remote breakdown a client can print.
-        timings: Vec<(String, u64)>,
-    },
-    /// JSON telemetry scrape (protocol v3+): answered with a
-    /// [`Frame::StatsResponse`] whose `text` is the deterministic JSON
-    /// rendering (`ustr_obs::MetricsSnapshot::render_json`). Excluded
-    /// from traffic counters like [`Frame::StatsRequest`].
-    StatsJsonRequest {
-        /// Echoed verbatim in the matching [`Frame::StatsResponse`].
-        id: u64,
-    },
-    /// Health probe (protocol v4+), tagged like a request for pipelining.
+    /// Health probe, tagged like a request for pipelining.
     /// Excluded from traffic counters like [`Frame::StatsRequest`].
     HealthRequest {
         /// Echoed verbatim in the matching [`Frame::HealthResponse`].
@@ -298,6 +258,17 @@ fn get_string(r: &mut Reader<'_>) -> Result<String, StoreError> {
     String::from_utf8(r.get_bytes()?).map_err(|_| StoreError::Corrupt {
         detail: "string field is not UTF-8".into(),
     })
+}
+
+/// Reads a one-byte boolean; any byte other than 0 or 1 is corrupt.
+fn get_flag(r: &mut Reader<'_>, what: &str) -> Result<bool, StoreError> {
+    match r.get_u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(StoreError::Corrupt {
+            detail: format!("invalid {what} flag byte {other}"),
+        }),
+    }
 }
 
 /// Query-mode tag bytes shared by requests and responses.
@@ -483,40 +454,27 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             w.put_u64(*num_docs);
             w.put_f64(*tau_min);
         }
-        Frame::Request { id, request } => {
+        Frame::Request { id, request, trace } => {
             w.put_u8(kind::REQUEST);
             w.put_u64(*id);
             encode_request(&mut w, request);
+            match trace {
+                None => w.put_u8(0),
+                Some(trace) => {
+                    w.put_u8(1);
+                    w.put_u64(trace.trace_hi);
+                    w.put_u64(trace.trace_lo);
+                    w.put_u64(trace.parent_span);
+                    w.put_u8(u8::from(trace.sampled));
+                }
+            }
         }
-        Frame::Response { id, result } => {
-            w.put_u8(kind::RESPONSE);
-            w.put_u64(*id);
-            encode_result(&mut w, result);
-        }
-        Frame::StatsRequest { id } => {
-            w.put_u8(kind::STATS_REQUEST);
-            w.put_u64(*id);
-        }
-        Frame::StatsResponse { id, text } => {
-            w.put_u8(kind::STATS_RESPONSE);
-            w.put_u64(*id);
-            put_string(&mut w, text);
-        }
-        Frame::RequestTraced { id, request, trace } => {
-            w.put_u8(kind::REQUEST_TRACED);
-            w.put_u64(*id);
-            encode_request(&mut w, request);
-            w.put_u64(trace.trace_hi);
-            w.put_u64(trace.trace_lo);
-            w.put_u64(trace.parent_span);
-            w.put_u8(u8::from(trace.sampled));
-        }
-        Frame::ResponseTimed {
+        Frame::Response {
             id,
             result,
             timings,
         } => {
-            w.put_u8(kind::RESPONSE_TIMED);
+            w.put_u8(kind::RESPONSE);
             w.put_u64(*id);
             encode_result(&mut w, result);
             w.put_u64(timings.len() as u64);
@@ -525,9 +483,15 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
                 w.put_u64(*us);
             }
         }
-        Frame::StatsJsonRequest { id } => {
-            w.put_u8(kind::STATS_JSON_REQUEST);
+        Frame::StatsRequest { id, json } => {
+            w.put_u8(kind::STATS_REQUEST);
             w.put_u64(*id);
+            w.put_u8(u8::from(*json));
+        }
+        Frame::StatsResponse { id, text } => {
+            w.put_u8(kind::STATS_RESPONSE);
+            w.put_u64(*id);
+            put_string(&mut w, text);
         }
         Frame::HealthRequest { id } => {
             w.put_u8(kind::HEALTH_REQUEST);
@@ -576,41 +540,17 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, StoreError> {
         kind::REQUEST => Frame::Request {
             id: r.get_u64()?,
             request: decode_request(&mut r)?,
-        },
-        kind::RESPONSE => Frame::Response {
-            id: r.get_u64()?,
-            result: decode_result(&mut r)?,
-        },
-        kind::STATS_REQUEST => Frame::StatsRequest { id: r.get_u64()? },
-        kind::STATS_RESPONSE => Frame::StatsResponse {
-            id: r.get_u64()?,
-            text: get_string(&mut r)?,
-        },
-        kind::REQUEST_TRACED => Frame::RequestTraced {
-            id: r.get_u64()?,
-            request: decode_request(&mut r)?,
-            trace: {
-                let trace_hi = r.get_u64()?;
-                let trace_lo = r.get_u64()?;
-                let parent_span = r.get_u64()?;
-                let sampled = match r.get_u8()? {
-                    0 => false,
-                    1 => true,
-                    other => {
-                        return Err(StoreError::Corrupt {
-                            detail: format!("invalid sampled flag byte {other}"),
-                        })
-                    }
-                };
-                WireTraceContext {
-                    trace_hi,
-                    trace_lo,
-                    parent_span,
-                    sampled,
-                }
+            trace: match get_flag(&mut r, "trace presence")? {
+                false => None,
+                true => Some(WireTraceContext {
+                    trace_hi: r.get_u64()?,
+                    trace_lo: r.get_u64()?,
+                    parent_span: r.get_u64()?,
+                    sampled: get_flag(&mut r, "sampled")?,
+                }),
             },
         },
-        kind::RESPONSE_TIMED => Frame::ResponseTimed {
+        kind::RESPONSE => Frame::Response {
             id: r.get_u64()?,
             result: decode_result(&mut r)?,
             timings: {
@@ -623,19 +563,18 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, StoreError> {
                 timings
             },
         },
-        kind::STATS_JSON_REQUEST => Frame::StatsJsonRequest { id: r.get_u64()? },
+        kind::STATS_REQUEST => Frame::StatsRequest {
+            id: r.get_u64()?,
+            json: get_flag(&mut r, "json")?,
+        },
+        kind::STATS_RESPONSE => Frame::StatsResponse {
+            id: r.get_u64()?,
+            text: get_string(&mut r)?,
+        },
         kind::HEALTH_REQUEST => Frame::HealthRequest { id: r.get_u64()? },
         kind::HEALTH_RESPONSE => Frame::HealthResponse {
             id: r.get_u64()?,
-            degraded: match r.get_u8()? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(StoreError::Corrupt {
-                        detail: format!("invalid degraded flag byte {other}"),
-                    })
-                }
-            },
+            degraded: get_flag(&mut r, "degraded")?,
             detail: get_string(&mut r)?,
         },
         kind::ERROR => Frame::Error {
@@ -690,13 +629,19 @@ mod tests {
     use super::*;
 
     fn frames() -> Vec<Frame> {
+        let trace = WireTraceContext {
+            trace_hi: 0xdead_beef_0000_0001,
+            trace_lo: 0x1234_5678_9abc_def0,
+            parent_span: 42,
+            sampled: true,
+        };
         vec![
             Frame::Hello {
                 magic: NET_MAGIC,
                 version: PROTOCOL_VERSION,
             },
             Frame::HelloAck {
-                version: 1,
+                version: PROTOCOL_VERSION,
                 num_docs: 42,
                 tau_min: 0.05,
             },
@@ -706,6 +651,7 @@ mod tests {
                     pattern: b"AB".to_vec(),
                     tau: 0.25,
                 },
+                trace: None,
             },
             Frame::Request {
                 id: 8,
@@ -713,6 +659,26 @@ mod tests {
                     pattern: b"X".to_vec(),
                     k: 5,
                 },
+                trace: None,
+            },
+            Frame::Request {
+                id: 12,
+                request: QueryRequest::Threshold {
+                    pattern: b"AB".to_vec(),
+                    tau: 0.25,
+                },
+                trace: Some(trace),
+            },
+            Frame::Request {
+                id: 13,
+                request: QueryRequest::Listing {
+                    pattern: b"B".to_vec(),
+                    tau: 0.5,
+                },
+                trace: Some(WireTraceContext {
+                    sampled: false,
+                    ..trace
+                }),
             },
             Frame::Response {
                 id: 7,
@@ -720,6 +686,7 @@ mod tests {
                     doc: 3,
                     hits: vec![(0, 0.9), (4, 0.25)],
                 }]))),
+                timings: Vec::new(),
             },
             Frame::Response {
                 id: 8,
@@ -728,6 +695,7 @@ mod tests {
                     pos: 2,
                     prob: 0.75,
                 }]))),
+                timings: Vec::new(),
             },
             Frame::Response {
                 id: 9,
@@ -735,6 +703,7 @@ mod tests {
                     doc: 0,
                     relevance: 0.5,
                 }]))),
+                timings: Vec::new(),
             },
             Frame::Response {
                 id: 10,
@@ -742,26 +711,9 @@ mod tests {
                     code: 1,
                     message: "query pattern is empty".into(),
                 }),
+                timings: Vec::new(),
             },
-            Frame::StatsRequest { id: 11 },
-            Frame::StatsResponse {
-                id: 11,
-                text: "# TYPE ustr_net_requests counter\nustr_net_requests 12\n".into(),
-            },
-            Frame::RequestTraced {
-                id: 12,
-                request: QueryRequest::Threshold {
-                    pattern: b"AB".to_vec(),
-                    tau: 0.25,
-                },
-                trace: WireTraceContext {
-                    trace_hi: 0xdead_beef_0000_0001,
-                    trace_lo: 0x1234_5678_9abc_def0,
-                    parent_span: 42,
-                    sampled: true,
-                },
-            },
-            Frame::ResponseTimed {
+            Frame::Response {
                 id: 12,
                 result: Ok(QueryResponse::Threshold(Arc::new(vec![DocHits {
                     doc: 3,
@@ -773,15 +725,23 @@ mod tests {
                     ("merge".to_string(), 40),
                 ],
             },
-            Frame::ResponseTimed {
+            Frame::Response {
                 id: 13,
                 result: Err(RemoteError {
                     code: 4,
                     message: "invalid threshold".into(),
                 }),
-                timings: Vec::new(),
+                timings: vec![("cache_lookup".to_string(), 1)],
             },
-            Frame::StatsJsonRequest { id: 14 },
+            Frame::StatsRequest {
+                id: 11,
+                json: false,
+            },
+            Frame::StatsRequest { id: 14, json: true },
+            Frame::StatsResponse {
+                id: 11,
+                text: "# TYPE ustr_net_requests counter\nustr_net_requests 12\n".into(),
+            },
             Frame::HealthRequest { id: 15 },
             Frame::HealthResponse {
                 id: 15,
@@ -863,28 +823,46 @@ mod tests {
         assert_eq!(ustr_obs::TraceContext::from(wire), ctx);
     }
 
-    #[test]
-    fn invalid_sampled_flag_is_rejected() {
-        let frame = Frame::RequestTraced {
+    fn threshold_request(sampled: Option<bool>) -> Frame {
+        Frame::Request {
             id: 1,
             request: QueryRequest::Threshold {
                 pattern: b"A".to_vec(),
                 tau: 0.5,
             },
-            trace: WireTraceContext {
+            trace: sampled.map(|sampled| WireTraceContext {
                 trace_hi: 0,
                 trace_lo: 1,
                 parent_span: 0,
-                sampled: false,
-            },
-        };
-        let mut payload = encode_frame(&frame);
+                sampled,
+            }),
+        }
+    }
+
+    #[test]
+    fn invalid_sampled_flag_is_rejected() {
+        let mut payload = encode_frame(&threshold_request(Some(false)));
         let flag = payload.len() - 1;
         payload[flag] = 2;
         assert!(matches!(
             decode_frame(&payload),
             Err(StoreError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn invalid_trace_presence_byte_is_rejected() {
+        // kind(1) + id(8) + mode(1) + pattern len(8) + "A"(1) + tau(8)
+        // puts the presence byte at offset 27, traced or not.
+        for sampled in [None, Some(true)] {
+            let mut payload = encode_frame(&threshold_request(sampled));
+            assert!(payload[27] <= 1, "offset 27 holds the presence byte");
+            payload[27] = 2;
+            assert!(matches!(
+                decode_frame(&payload),
+                Err(StoreError::Corrupt { .. })
+            ));
+        }
     }
 
     #[test]
@@ -901,33 +879,6 @@ mod tests {
             decode_frame(&payload),
             Err(StoreError::Corrupt { .. })
         ));
-    }
-
-    #[test]
-    fn v2_frame_encodings_are_unchanged_by_the_v3_bump() {
-        // A v2 peer's bytes must decode identically under v3 — pin the
-        // exact encoding of each pre-v3 frame kind.
-        let request = Frame::Request {
-            id: 7,
-            request: QueryRequest::Threshold {
-                pattern: b"AB".to_vec(),
-                tau: 0.25,
-            },
-        };
-        let mut expect = vec![3u8]; // kind::REQUEST
-        expect.extend_from_slice(&7u64.to_le_bytes());
-        expect.push(1); // mode::THRESHOLD
-        expect.extend_from_slice(&2u64.to_le_bytes());
-        expect.extend_from_slice(b"AB");
-        expect.extend_from_slice(&0.25f64.to_bits().to_le_bytes());
-        assert_eq!(encode_frame(&request), expect);
-
-        let stats = Frame::StatsRequest { id: 9 };
-        let mut expect = vec![7u8]; // kind::STATS_REQUEST
-        expect.extend_from_slice(&9u64.to_le_bytes());
-        assert_eq!(encode_frame(&stats), expect);
-
-        assert_eq!(encode_frame(&Frame::Goodbye), vec![6u8]);
     }
 
     #[test]

@@ -251,7 +251,7 @@ impl ResilientClient {
         Ok(self.connected()?.server_info())
     }
 
-    /// Probes server health (protocol v4+), with the same retry behavior
+    /// Probes server health, with the same retry behavior
     /// as queries.
     pub fn health(&mut self) -> Result<Option<String>, NetError> {
         let mut failures = 0u32;

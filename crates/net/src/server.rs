@@ -14,14 +14,15 @@
 //! the shared [`ThreadPool`] — the same `ustr-service` pool type the
 //! in-process engine uses — so `N` connections pipelining requests share
 //! one fixed set of workers. (Each worker drives
-//! `backend.query_requests`, which in turn fans shards onto the backend
-//! engine's own pool — the server pool bounds concurrent *requests*, the
-//! engine pool bounds per-request index parallelism.) A finished worker
-//! pushes the framed response into the owning loop's wake queue and rings
-//! its waker; the loop flushes it on the next pass. Pool workers never
-//! touch a socket: a slow or non-reading client backs up only its own
-//! write queue (bounded by the in-flight window), never a shared query
-//! worker, so one bad client cannot starve the other connections.
+//! `backend.query_requests_traced`, which in turn fans shards onto the
+//! backend engine's own pool — the server pool bounds concurrent
+//! *requests*, the engine pool bounds per-request index parallelism.) A
+//! finished worker pushes the framed response into the owning loop's wake
+//! queue and rings its waker; the loop flushes it on the next pass. Pool
+//! workers never touch a socket: a slow or non-reading client backs up
+//! only its own write queue (bounded by the in-flight window), never a
+//! shared query worker, so one bad client cannot starve the other
+//! connections.
 //!
 //! # Backpressure
 //!
@@ -54,152 +55,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use ustr_core::Error;
-use ustr_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Tracer};
+use ustr_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use ustr_poll::{Poller, Waker};
-use ustr_service::{
-    lock_clean, wait_clean, QueryRequest, QueryResponse, QueryService, ThreadPool, TraceSummary,
-    WakeQueue,
-};
+pub use ustr_service::QueryBackend;
+use ustr_service::{lock_clean, wait_clean, ThreadPool, WakeQueue};
 
 use crate::event_loop::{EventLoop, LoopHandle, LoopMsg, LoopStats, LoopStatsSnapshot};
 use crate::proto::DEFAULT_MAX_FRAME_LEN;
-
-/// Anything the server can answer queries from: the static
-/// [`QueryService`], the mutable [`ustr_live::LiveService`], or any other
-/// implementor of the engine's typed dispatch path.
-pub trait QueryBackend: Send + Sync {
-    /// Answers a typed batch (positionally aligned with `requests`).
-    fn query_requests(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse, Error>>;
-
-    /// Documents currently served (point-in-time for mutable backends).
-    fn num_docs(&self) -> usize;
-
-    /// The serving threshold floor advertised in the handshake.
-    fn tau_min(&self) -> f64;
-
-    /// Point-in-time engine telemetry, folded into `Stats` answers.
-    /// Backends without instrumentation report nothing.
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot::default()
-    }
-
-    /// Rendered slow-query lines, worst first, folded into `Stats`
-    /// answers. Backends without a slow-query log report nothing.
-    fn slow_queries(&self, _n: usize) -> Vec<String> {
-        Vec::new()
-    }
-
-    /// Answers a typed batch with tracing: `parents[q]`, when present, is a
-    /// propagated client trace context the request's root span continues.
-    /// The default (untraced backends) answers normally with no summaries.
-    fn query_requests_traced(
-        &self,
-        requests: &[QueryRequest],
-        _parents: &[Option<ustr_obs::TraceContext>],
-    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
-        self.query_requests(requests)
-            .into_iter()
-            .map(|result| (result, None))
-            .collect()
-    }
-
-    /// The backend's tracer, when it has one — lets the server expose
-    /// trace export without knowing the concrete backend type.
-    fn tracer(&self) -> Option<Arc<Tracer>> {
-        None
-    }
-
-    /// `None` when fully healthy, or a description of a degraded-but-
-    /// serving state (e.g. a live collection whose background maintenance
-    /// halted on a storage fault: queries still answer from memory, but
-    /// sealing/compaction stopped until recovery). Answers the protocol-v4
-    /// [`crate::proto::Frame::HealthRequest`]. Static backends are always
-    /// healthy.
-    fn health(&self) -> Option<String> {
-        None
-    }
-}
-
-impl QueryBackend for QueryService {
-    fn query_requests(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse, Error>> {
-        QueryService::query_requests(self, requests)
-    }
-
-    fn num_docs(&self) -> usize {
-        QueryService::num_docs(self)
-    }
-
-    fn tau_min(&self) -> f64 {
-        QueryService::tau_min(self)
-    }
-
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        QueryService::metrics_snapshot(self)
-    }
-
-    fn slow_queries(&self, n: usize) -> Vec<String> {
-        self.slow_log()
-            .worst(n)
-            .iter()
-            .map(|e| e.render())
-            .collect()
-    }
-
-    fn query_requests_traced(
-        &self,
-        requests: &[QueryRequest],
-        parents: &[Option<ustr_obs::TraceContext>],
-    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
-        QueryService::query_requests_traced(self, requests, parents)
-    }
-
-    fn tracer(&self) -> Option<Arc<Tracer>> {
-        Some(Arc::clone(QueryService::tracer(self)))
-    }
-}
-
-impl QueryBackend for ustr_live::LiveService {
-    fn query_requests(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse, Error>> {
-        ustr_live::LiveService::query_requests(self, requests)
-    }
-
-    fn num_docs(&self) -> usize {
-        ustr_live::LiveService::num_docs(self)
-    }
-
-    fn tau_min(&self) -> f64 {
-        ustr_live::LiveService::tau_min(self)
-    }
-
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        ustr_live::LiveService::metrics_snapshot(self)
-    }
-
-    fn slow_queries(&self, n: usize) -> Vec<String> {
-        self.slow_log()
-            .worst(n)
-            .iter()
-            .map(|e| e.render())
-            .collect()
-    }
-
-    fn query_requests_traced(
-        &self,
-        requests: &[QueryRequest],
-        parents: &[Option<ustr_obs::TraceContext>],
-    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
-        ustr_live::LiveService::query_requests_traced(self, requests, parents)
-    }
-
-    fn tracer(&self) -> Option<Arc<Tracer>> {
-        Some(Arc::clone(ustr_live::LiveService::tracer(self)))
-    }
-
-    fn health(&self) -> Option<String> {
-        self.background_health()
-    }
-}
 
 /// Per-server-instance telemetry. Instance-scoped (not the process-global
 /// registry) so that parallel servers in one process — the test suite, or
@@ -611,7 +473,7 @@ pub(crate) fn stats_text(shared: &Shared) -> String {
     text
 }
 
-/// Renders the `StatsJson` answer: the same merged server + backend
+/// Renders the JSON `Stats` answer: the same merged server + backend
 /// snapshot as [`stats_text`], in the machine-readable JSON rendering
 /// (slow-query lines are a text-exposition affordance and stay out).
 pub(crate) fn stats_json(shared: &Shared) -> String {

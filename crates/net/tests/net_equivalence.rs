@@ -45,10 +45,12 @@ fn assert_byte_identical(remote: &QueryResponse, local: &QueryResponse, what: &s
     let r = encode_frame(&Frame::Response {
         id: 0,
         result: Ok(remote.clone()),
+        timings: Vec::new(),
     });
     let l = encode_frame(&Frame::Response {
         id: 0,
         result: Ok(local.clone()),
+        timings: Vec::new(),
     });
     assert_eq!(r, l, "{what}: TCP answer is not byte-identical");
 }

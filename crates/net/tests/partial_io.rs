@@ -60,6 +60,7 @@ fn session_bytes(requests: &[QueryRequest]) -> Vec<u8> {
         out.extend_from_slice(&frame_bytes(&Frame::Request {
             id: id as u64,
             request: request.clone(),
+            trace: None,
         }));
     }
     out.extend_from_slice(&frame_bytes(&Frame::Goodbye));
@@ -189,6 +190,7 @@ fn malformed_frames_yield_one_clean_error_frame() {
     let mut request = frame_bytes(&Frame::Request {
         id: 7,
         request: sample_requests()[0].clone(),
+        trace: None,
     });
     let last = request.len() - 1;
     request[last] ^= 0xff;

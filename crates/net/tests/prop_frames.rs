@@ -154,6 +154,7 @@ fn valid_session_bytes(n: usize) -> Vec<u8> {
                 pattern: b"AB".to_vec(),
                 tau: 0.3,
             },
+            trace: None,
         }));
     }
     bytes

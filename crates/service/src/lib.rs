@@ -37,13 +37,6 @@
 //! [`ServiceConfig::epsilon`], one approx-index section — per document.
 //! Loading memory-plans shards from the manifest's per-document sizes.
 //!
-//! The older one-file-per-document directory layout
-//! ([`QueryService::save_dir`] / [`QueryService::load_dir`]) is
-//! **superseded for new code** by collection snapshots (and, for mutable
-//! collections, `ustr-live` directories): it cannot carry approx indexes,
-//! and a collection can only be moved or checksummed as a unit with the
-//! single-file format. It remains supported for existing data.
-//!
 //! # Architecture
 //!
 //! The serving machinery is layered so static and mutable services share
@@ -54,10 +47,12 @@
 //! (validation, per-mode LRU cache, thread-pool fan-out) running over any
 //! [`SegmentSet`]. [`QueryService`] is the static `SegmentSet` (fixed
 //! shards); `ustr-live`'s `LiveService` is the mutable one (sealed
-//! segments + memtable snapshot per batch).
+//! segments + memtable snapshot per batch). Both answer through the one
+//! query surface, the [`QueryBackend`] trait, whose per-mode convenience
+//! methods are written once as defaults.
 //!
 //! ```
-//! use ustr_service::{QueryRequest, QueryResponse, QueryService, ServiceConfig};
+//! use ustr_service::{QueryBackend, QueryRequest, QueryResponse, QueryService, ServiceConfig};
 //! use ustr_uncertain::UncertainString;
 //!
 //! let docs = vec![
@@ -86,19 +81,21 @@
 
 #![forbid(unsafe_code)]
 
+mod backend;
 mod cache;
 pub mod engine;
 pub mod exec;
 mod pool;
 pub mod sync;
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use ustr_core::{ApproxIndex, Error, Index};
 use ustr_store::{collection, CollectionSection, Snapshot, SnapshotKind, StoreError};
 use ustr_uncertain::UncertainString;
 
+pub use backend::QueryBackend;
 pub use cache::LruCache;
 pub use engine::{mode_name, validate_request, Engine, SegmentSet, TraceSummary, TAU_TOLERANCE};
 pub use exec::{merge_partials, top_hit_order, DocExecutor, Segment, ShardPartial};
@@ -215,10 +212,6 @@ pub enum QueryResponse {
     Approx(SharedHits),
 }
 
-/// A batch query: the pattern and its probability threshold τ (the legacy
-/// threshold-only batch shape; see [`QueryRequest`] for the typed form).
-pub type BatchQuery = (Vec<u8>, f64);
-
 /// Shared, immutable results (cache entries hand out clones of the `Arc`).
 pub type SharedHits = Arc<Vec<DocHits>>;
 
@@ -229,26 +222,6 @@ pub enum ServiceError {
     Index(Error),
     /// A snapshot failed to load.
     Store(StoreError),
-    /// Directory walking failed.
-    Io(std::io::Error),
-    /// The index directory holds no snapshots.
-    NoSnapshots,
-    /// A `.idx` file in the directory is not named `doc_<id>.idx`.
-    BadSnapshotName {
-        /// The offending file name.
-        name: String,
-    },
-    /// Two snapshot files name the same document id (e.g. `doc_1.idx` and
-    /// `doc_01.idx`).
-    DuplicateDocId {
-        /// The id claimed twice.
-        id: usize,
-    },
-    /// Document ids are not contiguous from 0 (a snapshot is missing).
-    MissingDocId {
-        /// The first id with no snapshot.
-        id: usize,
-    },
 }
 
 impl std::fmt::Display for ServiceError {
@@ -256,20 +229,6 @@ impl std::fmt::Display for ServiceError {
         match self {
             ServiceError::Index(e) => write!(f, "index error: {e}"),
             ServiceError::Store(e) => write!(f, "snapshot error: {e}"),
-            ServiceError::Io(e) => write!(f, "I/O error: {e}"),
-            ServiceError::NoSnapshots => write!(f, "no .idx snapshots found in directory"),
-            ServiceError::BadSnapshotName { name } => {
-                write!(f, "snapshot file {name:?} is not named doc_<id>.idx")
-            }
-            ServiceError::DuplicateDocId { id } => {
-                write!(f, "two snapshot files claim document id {id}")
-            }
-            ServiceError::MissingDocId { id } => {
-                write!(
-                    f,
-                    "no snapshot for document id {id} (ids must be contiguous from 0)"
-                )
-            }
         }
     }
 }
@@ -285,12 +244,6 @@ impl From<Error> for ServiceError {
 impl From<StoreError> for ServiceError {
     fn from(e: StoreError) -> Self {
         ServiceError::Store(e)
-    }
-}
-
-impl From<std::io::Error> for ServiceError {
-    fn from(e: std::io::Error) -> Self {
-        ServiceError::Io(e)
     }
 }
 
@@ -327,22 +280,12 @@ fn plan_shards(weights: &[usize], num_shards: usize) -> Vec<usize> {
     sizes
 }
 
-/// Parses the document id out of a `doc_<id>.idx` file name; `None` for any
-/// other shape (including non-numeric or overflowing ids).
-fn doc_id_from_name(name: &str) -> Option<usize> {
-    let digits = name.strip_prefix("doc_")?.strip_suffix(".idx")?;
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
-}
-
 /// A document-sharded, thread-pooled, result-cached query engine.
 ///
 /// Built from a collection ([`QueryService::build`]), pre-built indexes
-/// ([`QueryService::from_indexes`]), a single-file collection snapshot
-/// ([`QueryService::load_collection`]), or a directory of per-document
-/// snapshots ([`QueryService::load_dir`], deprecated path).
+/// ([`QueryService::from_indexes`]), or a single-file collection snapshot
+/// ([`QueryService::load_collection`]). Queries go through its
+/// [`QueryBackend`] implementation.
 pub struct QueryService {
     shards: Vec<Arc<Segment>>,
     engine: Engine,
@@ -443,79 +386,6 @@ impl QueryService {
             tau_min,
             num_docs,
         }
-    }
-
-    /// Loads every `doc_<id>.idx` snapshot in `dir` and assembles a service;
-    /// document ids come from the *parsed numeric id*, not the sort order of
-    /// the file names, so unpadded ids (`doc_10.idx` next to `doc_2.idx`)
-    /// load correctly. Any other `.idx` name, a duplicated id, or a gap in
-    /// the ids is an error.
-    ///
-    /// This directory layout is the deprecated persistence path — it cannot
-    /// carry approx indexes; prefer [`QueryService::load_collection`].
-    pub fn load_dir(dir: impl AsRef<Path>, config: ServiceConfig) -> Result<Self, ServiceError> {
-        let mut entries: Vec<(usize, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            let path = entry?.path();
-            if path.extension().is_none_or(|ext| ext != "idx") {
-                continue;
-            }
-            let name = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or_default()
-                .to_string();
-            match doc_id_from_name(&name) {
-                Some(id) => entries.push((id, path)),
-                None => return Err(ServiceError::BadSnapshotName { name }),
-            }
-        }
-        if entries.is_empty() {
-            return Err(ServiceError::NoSnapshots);
-        }
-        entries.sort_by_key(|&(id, _)| id);
-        for (expected, &(id, _)) in entries.iter().enumerate() {
-            if id == expected {
-                continue;
-            }
-            return Err(
-                if entries.iter().take(expected).any(|&(prev, _)| prev == id) {
-                    ServiceError::DuplicateDocId { id }
-                } else {
-                    ServiceError::MissingDocId { id: expected }
-                },
-            );
-        }
-        let indexes = entries
-            .iter()
-            .map(|(_, path)| Index::load(path))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::from_indexes(indexes, config))
-    }
-
-    /// Saves one snapshot per document into `dir` as `doc_<id>.idx`
-    /// (zero-padded; [`QueryService::load_dir`] parses the numeric id back).
-    ///
-    /// This directory layout is the deprecated persistence path — approx
-    /// indexes are **not** saved; prefer [`QueryService::save_collection`].
-    pub fn save_dir(&self, dir: impl AsRef<Path>) -> Result<(), ServiceError> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        for shard in &self.shards {
-            for (doc, d) in &shard.docs {
-                let path = dir.join(format!("doc_{doc:08}.idx"));
-                match d.as_ref() {
-                    DocExecutor::Built { index, .. } => index.save(path)?,
-                    // Persistence always writes real index snapshots; a
-                    // scan-served document is indexed on the way out.
-                    DocExecutor::Scanned(scan) => {
-                        Index::build(scan.source(), ustr_core::QueryExecutor::tau_min(scan))?
-                            .save(path)?
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Saves the whole collection as one file: a manifest (doc count, shard
@@ -619,11 +489,6 @@ impl QueryService {
         Ok(Self::assemble(docs, Some(&weights), shards, &config))
     }
 
-    /// Number of documents served.
-    pub fn num_docs(&self) -> usize {
-        self.num_docs
-    }
-
     /// Number of document shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -671,97 +536,6 @@ impl QueryService {
         self.engine.slow_log()
     }
 
-    /// Answers one threshold query (through the cache and the thread pool).
-    pub fn query(&self, pattern: &[u8], tau: f64) -> Result<Vec<DocHits>, Error> {
-        let req = QueryRequest::Threshold {
-            pattern: pattern.to_vec(),
-            tau,
-        };
-        match self.one_request(req)? {
-            QueryResponse::Threshold(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "threshold request produced a mismatched response kind",
-            )),
-        }
-    }
-
-    /// Answers one collection-wide top-k query: the `k` most probable
-    /// occurrences across every document, ranked by probability with a
-    /// deterministic `(doc, pos)` tie-break.
-    pub fn query_top_k(&self, pattern: &[u8], k: usize) -> Result<Vec<TopHit>, Error> {
-        let req = QueryRequest::TopK {
-            pattern: pattern.to_vec(),
-            k,
-        };
-        match self.one_request(req)? {
-            QueryResponse::TopK(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "top-k request produced a mismatched response kind",
-            )),
-        }
-    }
-
-    /// Answers one listing query: every document whose `Rel_max` for
-    /// `pattern` is ≥ τ, sorted by document id.
-    pub fn query_listing(&self, pattern: &[u8], tau: f64) -> Result<Vec<ListingHit>, Error> {
-        let req = QueryRequest::Listing {
-            pattern: pattern.to_vec(),
-            tau,
-        };
-        match self.one_request(req)? {
-            QueryResponse::Listing(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "listing request produced a mismatched response kind",
-            )),
-        }
-    }
-
-    /// Answers one ε-approximate query (exact when the service holds no
-    /// approx indexes — see [`ServiceConfig::epsilon`]).
-    pub fn query_approx(&self, pattern: &[u8], tau: f64) -> Result<Vec<DocHits>, Error> {
-        let req = QueryRequest::Approx {
-            pattern: pattern.to_vec(),
-            tau,
-        };
-        match self.one_request(req)? {
-            QueryResponse::Approx(shared) => Ok(shared.as_ref().clone()),
-            _ => Err(Error::internal(
-                "approx request produced a mismatched response kind",
-            )),
-        }
-    }
-
-    fn one_request(&self, req: QueryRequest) -> Result<QueryResponse, Error> {
-        self.query_requests(std::slice::from_ref(&req))
-            .pop()
-            .unwrap_or_else(|| {
-                Err(Error::internal(
-                    "the engine returned no response for a one-request batch",
-                ))
-            })
-    }
-
-    /// Answers a typed batch of any mix of query modes through the shared
-    /// [`Engine`], fanning each request across every shard on the thread
-    /// pool. Responses are positionally aligned with `requests` and are
-    /// **identical** to [`QueryService::query_requests_sequential`] for
-    /// every mode — per-shard answers are merged in shard order (top-k with
-    /// a total tie-break), never in completion order.
-    pub fn query_requests(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse, Error>> {
-        self.engine.run(self, requests)
-    }
-
-    /// [`QueryService::query_requests`] with tracing: each request's trace
-    /// (fresh, or continuing a propagated parent context) is summarized
-    /// alongside its response. See [`Engine::run_traced`].
-    pub fn query_requests_traced(
-        &self,
-        requests: &[QueryRequest],
-        parents: &[Option<ustr_obs::TraceContext>],
-    ) -> Vec<(Result<QueryResponse, Error>, Option<engine::TraceSummary>)> {
-        self.engine.run_traced(self, requests, parents)
-    }
-
     /// The engine's tracer: configure sampling with
     /// [`Tracer::set_sample_permyriad`](ustr_obs::Tracer::set_sample_permyriad),
     /// read sampled span trees back via
@@ -773,59 +547,59 @@ impl QueryService {
     /// Reference implementation: the same typed batch answered
     /// shard-by-shard on the calling thread (no pool), sharing the same
     /// cache and merge code. Exists to state — and test — the determinism
-    /// contract of [`QueryService::query_requests`].
+    /// contract of [`QueryBackend::query_requests`].
     pub fn query_requests_sequential(
         &self,
         requests: &[QueryRequest],
     ) -> Vec<Result<QueryResponse, Error>> {
         self.engine.run_sequential(self, requests)
     }
+}
 
-    /// Answers a legacy threshold-only batch (see [`QueryRequest`] /
-    /// [`QueryService::query_requests`] for mixed-mode batches). Results are
-    /// positionally aligned with `queries` and identical to
-    /// [`QueryService::query_batch_sequential`].
-    pub fn query_batch(&self, queries: &[BatchQuery]) -> Vec<Result<SharedHits, Error>> {
-        let requests: Vec<QueryRequest> = queries
+/// The static service's query surface. Batches fan each request across
+/// every shard on the thread pool; responses are positionally aligned with
+/// `requests` and **identical** to
+/// [`QueryService::query_requests_sequential`] for every mode — per-shard
+/// answers are merged in shard order (top-k with a total tie-break), never
+/// in completion order.
+impl QueryBackend for QueryService {
+    fn query_requests(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse, Error>> {
+        self.engine.run(self, requests)
+    }
+
+    fn num_docs(&self) -> usize {
+        self.num_docs
+    }
+
+    fn tau_min(&self) -> f64 {
+        self.tau_min
+    }
+
+    fn metrics_snapshot(&self) -> ustr_obs::MetricsSnapshot {
+        QueryService::metrics_snapshot(self)
+    }
+
+    fn slow_queries(&self, n: usize) -> Vec<String> {
+        self.slow_log()
+            .worst(n)
             .iter()
-            .map(|(pattern, tau)| QueryRequest::Threshold {
-                pattern: pattern.clone(),
-                tau: *tau,
-            })
-            .collect();
-        self.query_requests(&requests)
-            .into_iter()
-            .map(|r| {
-                r.and_then(|resp| match resp {
-                    QueryResponse::Threshold(shared) => Ok(shared),
-                    _ => Err(Error::internal(
-                        "threshold request produced a mismatched response kind",
-                    )),
-                })
-            })
+            .map(|e| e.render())
             .collect()
     }
 
-    /// Sequential reference for [`QueryService::query_batch`].
-    pub fn query_batch_sequential(&self, queries: &[BatchQuery]) -> Vec<Result<SharedHits, Error>> {
-        let requests: Vec<QueryRequest> = queries
-            .iter()
-            .map(|(pattern, tau)| QueryRequest::Threshold {
-                pattern: pattern.clone(),
-                tau: *tau,
-            })
-            .collect();
-        self.query_requests_sequential(&requests)
-            .into_iter()
-            .map(|r| {
-                r.and_then(|resp| match resp {
-                    QueryResponse::Threshold(shared) => Ok(shared),
-                    _ => Err(Error::internal(
-                        "threshold request produced a mismatched response kind",
-                    )),
-                })
-            })
-            .collect()
+    /// Each request's trace (fresh, or continuing a propagated parent
+    /// context) is summarized alongside its response. See
+    /// [`Engine::run_traced`].
+    fn query_requests_traced(
+        &self,
+        requests: &[QueryRequest],
+        parents: &[Option<ustr_obs::TraceContext>],
+    ) -> Vec<(Result<QueryResponse, Error>, Option<TraceSummary>)> {
+        self.engine.run_traced(self, requests, parents)
+    }
+
+    fn tracer(&self) -> Option<Arc<ustr_obs::Tracer>> {
+        Some(Arc::clone(QueryService::tracer(self)))
     }
 }
 
@@ -850,6 +624,16 @@ mod tests {
             cache_capacity: cache,
             epsilon: None,
         }
+    }
+
+    fn thresholds(queries: &[(&[u8], f64)]) -> Vec<QueryRequest> {
+        queries
+            .iter()
+            .map(|&(pattern, tau)| QueryRequest::Threshold {
+                pattern: pattern.to_vec(),
+                tau,
+            })
+            .collect()
     }
 
     fn mixed_batch() -> Vec<QueryRequest> {
@@ -910,20 +694,20 @@ mod tests {
         let docs = collection();
         let parallel = QueryService::build(&docs, 0.05, config(4, 3, 0)).unwrap();
         let sequential = QueryService::build(&docs, 0.05, config(1, 1, 0)).unwrap();
-        let batch: Vec<BatchQuery> = vec![
-            (b"AB".to_vec(), 0.3),
-            (b"B".to_vec(), 0.5),
-            (b"C".to_vec(), 0.9),
-            (b"ZZ".to_vec(), 0.1),
-            (b"A".to_vec(), 0.05),
-        ];
-        let a = parallel.query_batch(&batch);
-        let b = parallel.query_batch_sequential(&batch);
-        let c = sequential.query_batch(&batch);
+        let batch = thresholds(&[
+            (b"AB", 0.3),
+            (b"B", 0.5),
+            (b"C", 0.9),
+            (b"ZZ", 0.1),
+            (b"A", 0.05),
+        ]);
+        let a = parallel.query_requests(&batch);
+        let b = parallel.query_requests_sequential(&batch);
+        let c = sequential.query_requests(&batch);
         for ((x, y), z) in a.iter().zip(b.iter()).zip(c.iter()) {
             let x = x.as_ref().unwrap();
-            assert_eq!(x.as_ref(), y.as_ref().unwrap().as_ref());
-            assert_eq!(x.as_ref(), z.as_ref().unwrap().as_ref());
+            assert_eq!(x, y.as_ref().unwrap());
+            assert_eq!(x, z.as_ref().unwrap());
         }
     }
 
@@ -1183,14 +967,14 @@ mod tests {
     #[test]
     fn validation_errors_are_per_query() {
         let service = QueryService::build(&collection(), 0.1, config(2, 2, 4)).unwrap();
-        let batch: Vec<BatchQuery> = vec![
-            (b"".to_vec(), 0.3),
-            (b"AB".to_vec(), 0.05), // below tau_min
-            (b"AB".to_vec(), 0.3),
-            (b"A\0B".to_vec(), 0.3),
-            (b"AB".to_vec(), 1.5),
-        ];
-        let results = service.query_batch(&batch);
+        let batch = thresholds(&[
+            (b"", 0.3),
+            (b"AB", 0.05), // below tau_min
+            (b"AB", 0.3),
+            (b"A\0B", 0.3),
+            (b"AB", 1.5),
+        ]);
+        let results = service.query_requests(&batch);
         assert!(matches!(results[0], Err(Error::EmptyPattern)));
         assert!(matches!(
             results[1],
@@ -1220,27 +1004,20 @@ mod tests {
     #[test]
     fn duplicate_queries_in_a_batch_compute_once() {
         let service = QueryService::build(&collection(), 0.05, config(2, 2, 16)).unwrap();
-        let batch: Vec<BatchQuery> = vec![
-            (b"AB".to_vec(), 0.3),
-            (b"AB".to_vec(), 0.3),
-            (b"AB".to_vec(), 0.3),
-            (b"B".to_vec(), 0.5),
-        ];
-        let results = service.query_batch(&batch);
+        let batch = thresholds(&[(b"AB", 0.3), (b"AB", 0.3), (b"AB", 0.3), (b"B", 0.5)]);
+        let results = service.query_requests(&batch);
+        let hits = |r: &Result<QueryResponse, Error>| match r {
+            Ok(QueryResponse::Threshold(shared)) => Arc::clone(shared),
+            other => panic!("expected a threshold answer, got {other:?}"),
+        };
         // Followers share the leader's allocation, not a recomputation.
-        assert!(Arc::ptr_eq(
-            results[0].as_ref().unwrap(),
-            results[1].as_ref().unwrap()
-        ));
-        assert!(Arc::ptr_eq(
-            results[0].as_ref().unwrap(),
-            results[2].as_ref().unwrap()
-        ));
+        assert!(Arc::ptr_eq(&hits(&results[0]), &hits(&results[1])));
+        assert!(Arc::ptr_eq(&hits(&results[0]), &hits(&results[2])));
         // And duplicates still agree with sequential evaluation (served from
         // the now-warm cache).
-        let seq = service.query_batch_sequential(&batch);
+        let seq = service.query_requests_sequential(&batch);
         for (a, b) in results.iter().zip(seq.iter()) {
-            assert_eq!(a.as_ref().unwrap().as_ref(), b.as_ref().unwrap().as_ref());
+            assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
         }
         let (hits, _) = service.cache_stats();
         assert_eq!(hits, 4, "sequential pass is fully cache-served");
@@ -1290,105 +1067,6 @@ mod tests {
                 assert_eq!(sizes.len(), shards.min(n));
             }
         }
-    }
-
-    #[test]
-    fn save_dir_load_dir_round_trips() {
-        let docs = collection();
-        let built = QueryService::build(&docs, 0.05, config(2, 3, 0)).unwrap();
-        let dir = std::env::temp_dir().join("ustr_service_round_trip");
-        let _ = std::fs::remove_dir_all(&dir);
-        built.save_dir(&dir).unwrap();
-        let loaded = QueryService::load_dir(&dir, config(4, 2, 0)).unwrap();
-        assert_eq!(loaded.num_docs(), docs.len());
-        let batch: Vec<BatchQuery> = vec![
-            (b"AB".to_vec(), 0.3),
-            (b"C".to_vec(), 0.8),
-            (b"B".to_vec(), 0.1),
-        ];
-        let a = built.query_batch(&batch);
-        let b = loaded.query_batch(&batch);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.as_ref().unwrap().as_ref(), y.as_ref().unwrap().as_ref());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_dir_parses_numeric_ids_from_unpadded_names() {
-        // Hand-named, unpadded snapshots: lexicographic order (doc_10 <
-        // doc_2) must NOT permute ids.
-        let docs: Vec<UncertainString> = (0..11)
-            .map(|i| {
-                UncertainString::parse(&format!("A:.{}{},B:.{}{} | B", 9 - i % 9, 0, i % 9, 9))
-                    .unwrap_or_else(|_| UncertainString::deterministic(b"AB"))
-            })
-            .collect();
-        let dir = std::env::temp_dir().join("ustr_service_unpadded");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        for (i, d) in docs.iter().enumerate() {
-            let index = Index::build(d, 0.05).unwrap();
-            index.save(dir.join(format!("doc_{i}.idx"))).unwrap();
-        }
-        let loaded = QueryService::load_dir(&dir, config(2, 2, 0)).unwrap();
-        assert_eq!(loaded.num_docs(), docs.len());
-        // Each document answers under its own id: compare with a freshly
-        // built service over the same ordered collection.
-        let built = QueryService::build(&docs, 0.05, config(1, 1, 0)).unwrap();
-        for tau in [0.3, 0.6] {
-            assert_eq!(
-                loaded.query(b"AB", tau).unwrap(),
-                built.query(b"AB", tau).unwrap()
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_dir_rejects_foreign_duplicate_and_gapped_names() {
-        let dir = std::env::temp_dir().join("ustr_service_bad_names");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let index = Index::build(&UncertainString::deterministic(b"AB"), 0.5).unwrap();
-
-        // Foreign name.
-        index.save(dir.join("doc_0.idx")).unwrap();
-        index.save(dir.join("stray.idx")).unwrap();
-        assert!(matches!(
-            QueryService::load_dir(&dir, config(1, 1, 0)),
-            Err(ServiceError::BadSnapshotName { .. })
-        ));
-        std::fs::remove_file(dir.join("stray.idx")).unwrap();
-
-        // Duplicate id via padding variants.
-        index.save(dir.join("doc_1.idx")).unwrap();
-        index.save(dir.join("doc_01.idx")).unwrap();
-        assert!(matches!(
-            QueryService::load_dir(&dir, config(1, 1, 0)),
-            Err(ServiceError::DuplicateDocId { id: 1 })
-        ));
-        std::fs::remove_file(dir.join("doc_01.idx")).unwrap();
-
-        // Gap: ids {0, 1, 3}.
-        index.save(dir.join("doc_3.idx")).unwrap();
-        assert!(matches!(
-            QueryService::load_dir(&dir, config(1, 1, 0)),
-            Err(ServiceError::MissingDocId { id: 2 })
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_dir_rejects_empty_directories() {
-        let dir = std::env::temp_dir().join("ustr_service_empty_dir");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        assert!(matches!(
-            QueryService::load_dir(&dir, ServiceConfig::default()),
-            Err(ServiceError::NoSnapshots)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

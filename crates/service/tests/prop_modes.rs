@@ -5,7 +5,7 @@
 //! same batch identically.
 
 use proptest::prelude::*;
-use ustr_service::{QueryRequest, QueryService, ServiceConfig};
+use ustr_service::{QueryBackend, QueryRequest, QueryService, ServiceConfig};
 use ustr_uncertain::UncertainString;
 
 /// Random documents over {a, b, c} with 1–3 normalized choices per position.

@@ -10,7 +10,7 @@
 
 use uncertain_strings::{
     workload::{generate_collection, DatasetConfig},
-    Index, QueryService, ServiceConfig, Snapshot,
+    QueryBackend, QueryRequest, QueryResponse, QueryService, ServiceConfig,
 };
 
 fn main() {
@@ -18,24 +18,24 @@ fn main() {
     let docs = generate_collection(&DatasetConfig::new(2_000, 0.3, 42));
     println!("collection: {} documents", docs.len());
 
-    // 2. Build one index per document and snapshot the whole collection.
-    let dir = std::env::temp_dir().join("ustr_example_snapshots");
-    let _ = std::fs::remove_dir_all(&dir);
+    // 2. Build one index per document and snapshot the whole collection
+    //    into a single `.coll` file.
+    let path = std::env::temp_dir().join("ustr_example_snapshot.coll");
     let t0 = std::time::Instant::now();
     let built = QueryService::build(&docs, 0.1, ServiceConfig::default()).unwrap();
     let build_time = t0.elapsed();
-    built.save_dir(&dir).unwrap();
+    built.save_collection(&path).unwrap();
     println!(
-        "built {} indexes in {build_time:?}, snapshots in {}",
+        "built {} indexes in {build_time:?}, snapshot at {}",
         docs.len(),
-        dir.display()
+        path.display()
     );
 
-    // 3. A fresh process would start here: load the snapshots into a
+    // 3. A fresh process would start here: load the snapshot into a
     //    4-thread, 4-shard service with a 256-entry result cache.
     let t1 = std::time::Instant::now();
-    let service = QueryService::load_dir(
-        &dir,
+    let service = QueryService::load_collection(
+        &path,
         ServiceConfig {
             threads: 4,
             shards: 4,
@@ -53,13 +53,20 @@ fn main() {
     );
 
     // 4. One batch of queries, fanned across the pool.
-    let batch: Vec<(Vec<u8>, f64)> = [&b"LL"[..], b"AA", b"SE", b"GLV"]
+    let batch: Vec<QueryRequest> = [&b"LL"[..], b"AA", b"SE", b"GLV"]
         .iter()
-        .map(|p| (p.to_vec(), 0.25))
+        .map(|p| QueryRequest::Threshold {
+            pattern: p.to_vec(),
+            tau: 0.25,
+        })
         .collect();
-    let results = service.query_batch(&batch);
-    for ((pattern, tau), result) in batch.iter().zip(results.iter()) {
-        let hits = result.as_ref().unwrap();
+    let results = service.query_requests(&batch);
+    for (request, result) in batch.iter().zip(results.iter()) {
+        let (QueryRequest::Threshold { pattern, tau }, Ok(QueryResponse::Threshold(hits))) =
+            (request, result)
+        else {
+            panic!("a threshold request answers with threshold hits");
+        };
         let occurrences: usize = hits.iter().map(|d| d.hits.len()).sum();
         println!(
             "  {:?} tau={tau}: {occurrences} occurrence(s) across {} document(s)",
@@ -70,24 +77,21 @@ fn main() {
 
     // 5. The contracts this subsystem guarantees, checked live:
     //    (a) parallel batches equal sequential evaluation;
-    let sequential = service.query_batch_sequential(&batch);
+    let sequential = service.query_requests_sequential(&batch);
     for (par, seq) in results.iter().zip(sequential.iter()) {
         assert_eq!(par.as_ref().unwrap(), seq.as_ref().unwrap());
     }
-    //    (b) a loaded index answers identically to the freshly built one.
-    let single = &docs[0];
-    let fresh = Index::build(single, 0.1).unwrap();
-    let path = dir.join("doc_00000000.idx");
-    let loaded = Index::load(&path).unwrap();
+    //    (b) the loaded collection answers identically to the freshly
+    //        built one.
     for pattern in [&b"L"[..], b"AL", b"KDE"] {
         assert_eq!(
-            fresh.query(pattern, 0.2).unwrap().hits(),
-            loaded.query(pattern, 0.2).unwrap().hits(),
+            built.query(pattern, 0.2).unwrap(),
+            service.query(pattern, 0.2).unwrap(),
         );
     }
     let (cache_hits, cache_misses) = service.cache_stats();
     println!("cache: {cache_hits} hit(s), {cache_misses} miss(es)");
     println!("round-trip and determinism contracts verified");
 
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&path);
 }

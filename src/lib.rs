@@ -64,11 +64,10 @@
 //! | [`UncertainString`], [`SpecialUncertainString`], correlation & transform | `ustr-uncertain` | data model, possible worlds, Lemma-2 factor transform |
 //! | [`Index`], [`SpecialIndex`], [`ListingIndex`], [`ApproxIndex`], [`core::QueryExecutor`] | `ustr-core` | the paper's indexes (§4–§7) + the execution-strategy contract |
 //! | [`Snapshot`], [`StoreError`], snapshot/collection/WAL formats | `ustr-store` | versioned binary index persistence; single-file collection snapshots; write-ahead log + live manifest |
-//! | [`QueryService`], [`QueryRequest`], [`ServiceConfig`], [`DocHits`], [`TopHit`] | `ustr-service` | concurrent sharded serving: four typed query modes, one `Engine` dispatcher over `SegmentSet`s, deterministic merge, per-mode LRU cache |
+//! | [`QueryService`], [`QueryBackend`], [`QueryRequest`], [`ServiceConfig`], [`DocHits`], [`TopHit`] | `ustr-service` | concurrent sharded serving: four typed query modes behind one query trait, one `Engine` dispatcher over `SegmentSet`s, deterministic merge, per-mode LRU cache |
 //! | [`LiveService`], [`LiveConfig`] | `ustr-live` | mutable collections: WAL → memtable → sealed segments → compaction |
 //! | [`NetServer`], [`NetClient`], [`ServerConfig`] | `ustr-net` | TCP serving: checksummed wire protocol, handshake, pipelined concurrent server, client |
 //! | [`NaiveScanner`], [`SimpleIndex`], [`ScanIndex`], DP containment | `ustr-baseline` | baselines, test oracles, and the scan-backed memtable executor |
-//! | [`StreamMatcher`], [`ContainmentTracker`] | `ustr-stream` | online matching over event streams (§2) |
 //! | suffix arrays / trees | `ustr-suffix` | SA-IS, LCP, suffix tree substrate |
 //! | RMQ structures | `ustr-rmq` | Lemma-1 substrate |
 //! | dataset generators | `ustr-workload` | §8.1 synthetic workloads |
@@ -85,10 +84,10 @@ pub use ustr_live::{self as live, LiveConfig, LiveError, LiveService};
 pub use ustr_net::{self as net, NetClient, NetError, NetServer, ServerConfig};
 pub use ustr_rmq as rmq;
 pub use ustr_service::{
-    self as service, DocHits, QueryRequest, QueryResponse, QueryService, ServiceConfig, TopHit,
+    self as service, DocHits, QueryBackend, QueryRequest, QueryResponse, QueryService,
+    ServiceConfig, TopHit,
 };
 pub use ustr_store::{self as store, Snapshot, SnapshotKind, StoreError};
-pub use ustr_stream::{self as stream, Alert, ContainmentTracker, StreamMatcher};
 pub use ustr_suffix::{self as suffix, SuffixArray, SuffixTree};
 pub use ustr_uncertain::{
     self as uncertain, Correlation, CorrelationSet, SpecialUncertainString, Transformed,
